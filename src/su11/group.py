@@ -84,6 +84,10 @@ class CartanCoords:
     psi: float
 
     def __post_init__(self) -> None:
+        if not all(math.isfinite(v) for v in (self.tau, self.phi, self.psi)):
+            raise InvalidParams(
+                f"chart coordinates must be finite, got ({self.tau}, {self.phi}, {self.psi})"
+            )
         if self.tau < 0.0:
             raise InvalidParams(f"tau must be >= 0, got {self.tau}")
         object.__setattr__(self, "tau", float(self.tau))

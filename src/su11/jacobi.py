@@ -35,16 +35,21 @@ class JacobiParams:
             raise InvalidParams(f"degree must be >= 0, got {self.degree}")
 
 
-def jacobi_sequence(a: float, b: float, max_degree: int, x):
+def jacobi_sequence(a, b: float, max_degree: int, x):
     """All Jacobi polynomial values P_0 ... P_max_degree at x.
 
     Runs the classical three-term recurrence once and returns every degree,
     which is what block assembly and quadrature integrands actually consume.
+    An array ``a`` runs one lane per exponent (as many exponents at one x,
+    or one per point); every lane performs the same floating-point operations
+    as a scalar call, so its values agree bit for bit.
 
     Parameters
     ----------
-    a, b : float
-        Weight exponents, each > -1.
+    a : float or ndarray
+        First weight exponent(s), each > -1.
+    b : float
+        Second weight exponent, > -1.
     max_degree : int
         Highest degree to evaluate.
     x : float or ndarray
@@ -53,14 +58,15 @@ def jacobi_sequence(a: float, b: float, max_degree: int, x):
     Returns
     -------
     list
-        ``[P_0(x), ..., P_max_degree(x)]``, scalars or arrays matching x.
+        ``[P_0(x), ..., P_max_degree(x)]``, scalars or arrays of the shape
+        ``a`` and ``x`` broadcast to.
     """
-    if a <= -1.0 or b <= -1.0:
+    is_array = isinstance(a, np.ndarray) or isinstance(x, np.ndarray)
+    if (np.min(a) if is_array else a) <= -1.0 or b <= -1.0:
         raise InvalidParams(f"Jacobi exponents must exceed -1, got ({a}, {b})")
     if max_degree < 0:
         raise InvalidParams(f"max_degree must be >= 0, got {max_degree}")
-    is_array = isinstance(x, np.ndarray)
-    values = [np.ones_like(x) if is_array else 1.0]
+    values = [np.ones(np.broadcast_shapes(np.shape(a), np.shape(x))) if is_array else 1.0]
     if max_degree == 0:
         return values
     apb = a + b
@@ -80,21 +86,35 @@ def jacobi_p(params: JacobiParams, x):
     return jacobi_sequence(params.a, params.b, params.degree, x)[-1]
 
 
-def log_poch_ratio(two_eta: int, n: int, m: int) -> float:
+@lru_cache(maxsize=32)
+def _log_poch_partials(two_eta: int, size: int) -> np.ndarray:
+    """S_j = sum_{k < j} log1p((2*eta - 1) / (k + 1)) for j < size.
+
+    A longer table extends a shorter one bit for bit.  The cache is bounded
+    because a table is as long as the largest index asked for.
+    """
+    k = np.arange(1.0, size)
+    partial = np.concatenate(([0.0], np.cumsum(np.log1p((two_eta - 1) / k))))
+    partial.setflags(write=False)
+    return partial
+
+
+def log_poch_ratio(two_eta: int, n, m):
     """log of (m! * Gamma(2*eta + n)) / (n! * Gamma(2*eta + m)).
 
     The half-power of this ratio is the matrix-element prefactor; keeping it
     in log space lets indices run into the hundreds without Gamma overflow.
     ``two_eta`` is the integer 2*eta of a discrete-series label.
+
+    The ratio telescopes to S_n - S_m, S_j = sum_{k < j} log1p((2*eta - 1) / (k + 1)),
+    accurate to ulps of those small sums rather than of lgamma values in the
+    thousands.  Integer arrays n, m give it elementwise, bit for bit as scalars.
     """
-    if n == m:
-        return 0.0
-    return (
-        math.lgamma(m + 1)
-        + math.lgamma(two_eta + n)
-        - math.lgamma(n + 1)
-        - math.lgamma(two_eta + m)
-    )
+    if np.minimum(n, m).min() < 0:
+        raise InvalidParams("indices must be >= 0")
+    top = int(np.maximum(n, m).max())
+    partial = _log_poch_partials(two_eta, 1 << top.bit_length())
+    return partial[n] - partial[m]
 
 
 @dataclass(frozen=True)

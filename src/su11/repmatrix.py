@@ -12,6 +12,13 @@ gamma = -beta when n' >= n, gamma = conj(beta) when n >= n'.  Because
 2*eta is a positive integer, every alpha power is an exact integer power
 and no branch cuts arise.
 
+One kernel assembles every entry in log space: with d = n_> - n_<, the
+modulus is exp(log_poch / 2 - 2 eta log|alpha| + d log|z| + log|P|) and the
+phase is d arg(gamma) - (2 eta + 2 n_< + d) arg(alpha).  No power can
+overflow before the others balance it, so there is a single regime for
+every index and every tau.  The scalar, batch and block forms all call it,
+and a block entry equals the scalar matrix_element bit for bit.
+
 The same element in the hyperbolic-angle chart separates into a magnitude
 in x = 1 - 2 tanh^2(tau/2) and pure phases in phi and psi:
 
@@ -22,7 +29,9 @@ in x = 1 - 2 tanh^2(tau/2) and pure phases in phi and psi:
 with s = (-1)^{n' - n} for n' >= n and s = +1 otherwise.  The phase split is
 the one forced by factorizing the operator as rotation * boost * rotation
 (rotations act diagonally with phases exp(-i (eta + n) angle)); it is
-cross-checked against the algebraic form in the test suite.
+cross-checked against the algebraic form in the test suite.  The chart form
+does not use the kernel: it is the independent reference the algebraic one
+is checked against.
 
 Pure functions throughout; MatrixBlock entries are frozen read-only arrays.
 """
@@ -31,7 +40,6 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass, field
-from functools import lru_cache
 
 import numpy as np
 
@@ -39,25 +47,6 @@ from .errors import InvalidParams
 from .group import CartanCoords, GroupElement, multiply
 from .halfint import RepLabel, as_rep_label
 from .jacobi import jacobi_sequence, log_poch_ratio
-
-# Above this index, magnitudes are assembled in log space: |beta| > 1 raised
-# to a large index power would otherwise overflow before the alpha powers
-# can balance it.
-_LOGSPACE_MIN = 170
-
-
-def _ipow(base: complex, exponent: int) -> complex:
-    """Integer power by binary exponentiation; exact branch-free semantics."""
-    if exponent < 0:
-        base = 1.0 / base
-        exponent = -exponent
-    out = complex(1.0)
-    while exponent:
-        if exponent & 1:
-            out *= base
-        base *= base
-        exponent >>= 1
-    return out
 
 
 @dataclass(frozen=True)
@@ -84,65 +73,57 @@ class IndexPair:
         return self.n_prime >= self.n
 
 
-def _pref(two_eta: int, n_less: int, n_greater: int) -> float:
-    return math.exp(0.5 * log_poch_ratio(two_eta, n_greater, n_less))
+def _z_squared(alpha, beta):
+    """|z|^2 = |beta|^2 / |alpha|^2, z = beta / conj(alpha), in real arithmetic.
+
+    The Jacobi argument is x = 1 - 2|z|^2, and P_{n_<} is sensitive to x, so
+    x is formed with three roundings rather than through a complex division.
+    """
+    return ((beta.real * beta.real + beta.imag * beta.imag)
+            / (alpha.real * alpha.real + alpha.imag * alpha.imag))
 
 
-@lru_cache(maxsize=None)
-def _pref_table(two_eta: int, size: int) -> tuple:
-    """Prefactors indexed [offset][lower index]; shared by every block."""
-    return tuple(
-        tuple(_pref(two_eta, m, m + d) for m in range(size - d))
-        for d in range(size)
-    )
+def _assemble(two_eta: int, n_less, offset, upper, alpha, beta, jac):
+    """U_{n n'} from n_<, d = n_> - n_<, the triangle and P_{n_<}^{(d, 2 eta - 1)}.
 
-
-def _combine(pref: float, alpha_pow: complex, alpha_conj_pow: complex,
-             gamma_pow: complex, jac: float) -> complex:
-    return pref * alpha_pow * alpha_conj_pow * gamma_pow * jac
-
-
-def _entry(two_eta: int, n_less: int, n_greater: int, gamma: complex,
-           alpha: complex, jac: float) -> complex:
-    return _combine(
-        _pref(two_eta, n_less, n_greater),
-        _ipow(alpha, -(two_eta + n_greater)),
-        _ipow(alpha.conjugate(), n_less),
-        _ipow(gamma, n_greater - n_less),
-        jac,
-    )
-
-
-def _entry_logspace(two_eta: int, n_less: int, n_greater: int, gamma: complex,
-                    alpha: complex, jac: float) -> complex:
-    diff = n_greater - n_less
-    if jac == 0.0 or (diff > 0 and gamma == 0):
-        return 0j
+    All arguments broadcast; ``upper`` marks n' >= n, where gamma = -beta.
+    Entries with a zero Jacobi factor, or with d > 0 at beta = 0, are exactly
+    +0j, which keeps the identity block exact and compact elements diagonal.
+    A Jacobi factor beyond double range is refused rather than turned into
+    inf or NaN entries.  The masks are written as arithmetic on booleans, so
+    a scalar entry costs a handful of numpy calls.
+    """
+    if not np.isfinite(jac).all():
+        raise InvalidParams("the Jacobi factor overflows double precision at these indices")
+    z2 = _z_squared(alpha, beta)
+    keep = (jac != 0.0) & ((offset == 0) | (z2 != 0.0))
+    # Adding the boolean "== 0" turns a zero into 1, so every log is finite.
     log_mag = (
-        0.5 * log_poch_ratio(two_eta, n_greater, n_less)
-        - (two_eta + n_greater - n_less) * math.log(abs(alpha))
-        + math.log(abs(jac))
+        0.5 * log_poch_ratio(two_eta, n_less + offset, n_less)
+        - 0.5 * two_eta * np.log(alpha.real * alpha.real + alpha.imag * alpha.imag)
+        + offset * (0.5 * np.log(z2 + (z2 == 0.0)))
+        + np.log(np.abs(jac + (jac == 0.0)))
     )
-    angle = -(two_eta + n_greater + n_less) * cmath.phase(alpha)
-    if diff > 0:
-        log_mag += diff * math.log(abs(gamma))
-        angle += diff * cmath.phase(gamma)
-    value = cmath.exp(complex(log_mag, angle))
-    return -value if jac < 0.0 else value
+    # arg(-beta) = arg(beta) + pi and arg(conj(beta)) = -arg(beta); phases
+    # are taken on the element, never per entry.
+    arg_beta = np.arctan2(beta.imag, beta.real)
+    arg_gamma = (2 * upper - 1) * arg_beta + np.pi * upper
+    arg_alpha = np.arctan2(alpha.imag, alpha.real)
+    angle = offset * arg_gamma - (two_eta + 2 * n_less + offset) * arg_alpha
+    sign = (1.0 * (jac > 0.0) - (jac < 0.0)) * keep
+    # Adding +0.0 turns the -0.0 parts that the sign or underflow leave into +0.0.
+    return sign * np.exp(log_mag + 1j * angle) + 0.0
 
 
 def matrix_element(eta, n: int, n_prime: int, g: GroupElement) -> complex:
     """Matrix element U_{n n'}(g) in the algebraic (alpha, beta) form."""
     label = as_rep_label(eta)
     pair = IndexPair(n, n_prime)
-    m, big = pair.n_less, pair.n_greater
-    gamma = -g.beta if pair.is_n_prime_greater else g.beta.conjugate()
-    z = g.beta / g.alpha.conjugate()
-    xarg = 1.0 - 2.0 * (z.real * z.real + z.imag * z.imag)
-    jac = jacobi_sequence(float(big - m), float(label.two_eta - 1), m, xarg)[-1]
-    if big <= _LOGSPACE_MIN:
-        return _entry(label.two_eta, m, big, gamma, g.alpha, jac)
-    return _entry_logspace(label.two_eta, m, big, gamma, g.alpha, jac)
+    m, d = pair.n_less, pair.n_greater - pair.n_less
+    xarg = 1.0 - 2.0 * _z_squared(g.alpha, g.beta)
+    jac = jacobi_sequence(float(d), float(label.two_eta - 1), m, xarg)[-1]
+    return complex(_assemble(label.two_eta, m, d, pair.is_n_prime_greater,
+                             g.alpha, g.beta, jac))
 
 
 def matrix_element_cartan(eta, n: int, n_prime: int, c: CartanCoords) -> complex:
@@ -151,13 +132,18 @@ def matrix_element_cartan(eta, n: int, n_prime: int, c: CartanCoords) -> complex
     te = label.two_eta
     pair = IndexPair(n, n_prime)
     m, big = pair.n_less, pair.n_greater
-    x = c.x
-    jac = jacobi_sequence(float(big - m), float(te - 1), m, x)[-1]
+    jac = jacobi_sequence(float(big - m), float(te - 1), m, c.x)[-1]
     pref = math.exp(0.5 * log_poch_ratio(te, big, m))
+    # 1 - x = 2 tanh^2(tau/2) and 1 + x = 2 sech^2(tau/2), taken from tau:
+    # 1 + x formed from the rounded x cancels to 0 once tanh(tau/2) rounds to 1.
+    t = math.tanh(0.5 * c.tau)
+    e = math.exp(-c.tau)
+    one_minus_x = 2.0 * t * t
+    one_plus_x = 8.0 * e / (1.0 + e) ** 2
     magnitude = (
         2.0 ** (0.5 * (m - big - te))
-        * (1.0 - x) ** (0.5 * (big - m))
-        * (1.0 + x) ** (0.5 * te)
+        * one_minus_x ** (0.5 * (big - m))
+        * one_plus_x ** (0.5 * te)
         * pref
         * jac
     )
@@ -166,31 +152,39 @@ def matrix_element_cartan(eta, n: int, n_prime: int, c: CartanCoords) -> complex
     return sign * magnitude * cmath.exp(1j * angle)
 
 
-def matrix_element_batch(eta, n: int, n_prime: int, alpha: np.ndarray,
-                         beta: np.ndarray) -> np.ndarray:
-    """Algebraic-form U_{n n'} evaluated over arrays of (alpha, beta) pairs.
+def matrix_element_batch(eta, n, n_prime, alpha, beta) -> np.ndarray:
+    """Algebraic-form U_{n n'} over arrays of index pairs or of elements.
 
-    Vectorized workhorse for Monte Carlo integration over the group; the
-    inputs are parallel arrays of matrix entries of valid elements.
+    Either one index pair is evaluated over parallel arrays of (alpha, beta)
+    entries of valid elements, the vectorized workhorse of Monte Carlo
+    integration over the group, or integer arrays n and n' broadcast over a
+    single element, as in a truncated block or a diagonal trace.  The Jacobi
+    recurrence runs once, with one lane per offset n_> - n_<, and each entry
+    over a single element equals matrix_element bit for bit.
     """
     label = as_rep_label(eta)
-    te = label.two_eta
-    pair = IndexPair(n, n_prime)
-    m, big = pair.n_less, pair.n_greater
+    n, n_prime = np.asarray(n), np.asarray(n_prime)
+    if np.any(n < 0) or np.any(n_prime < 0):
+        raise InvalidParams("basis indices must be >= 0")
     alpha = np.asarray(alpha, dtype=complex)
     beta = np.asarray(beta, dtype=complex)
-    gamma = -beta if pair.is_n_prime_greater else np.conj(beta)
-    z = beta / np.conj(alpha)
-    xarg = 1.0 - 2.0 * (z.real**2 + z.imag**2)
-    jac = jacobi_sequence(float(big - m), float(te - 1), m, xarg)[-1]
-    pref = math.exp(0.5 * log_poch_ratio(te, big, m))
-    return (
-        pref
-        * alpha ** (-(te + big))
-        * np.conj(alpha) ** m
-        * gamma ** (big - m)
-        * jac
-    )
+    xarg = 1.0 - 2.0 * _z_squared(alpha, beta)
+    if xarg.ndim == 0:
+        xarg = float(xarg)
+    elif n.ndim or n_prime.ndim:
+        raise InvalidParams("index arrays need a single group element")
+    m = np.minimum(n, n_prime)
+    d = np.abs(n_prime - n)
+    b = float(label.two_eta - 1)
+    # Lanes past an offset's last needed degree may overflow; they are
+    # discarded, and the kernel refuses any kept value that is not finite.
+    with np.errstate(over="ignore", invalid="ignore"):
+        if np.min(d) == np.max(d):
+            jac = np.asarray(jacobi_sequence(float(np.max(d)), b, int(np.max(m)), xarg))[m]
+        else:
+            lanes = np.arange(np.max(d) + 1.0)
+            jac = np.asarray(jacobi_sequence(lanes, b, int(np.max(m)), xarg))[m, d]
+    return _assemble(label.two_eta, m, d, n_prime >= n, alpha, beta, jac)
 
 
 @dataclass(frozen=True, eq=False)
@@ -206,49 +200,14 @@ class MatrixBlock:
 def truncated_operator(eta, g: GroupElement, size: int) -> MatrixBlock:
     """Assemble the size x size block of U(g); entries match matrix_element.
 
-    The assembly shares the scalar entry kernel and runs one Jacobi
-    recurrence per diagonal offset, so entries[i, j] reproduces
-    matrix_element(eta, i, j, g) bit for bit at a fraction of the cost.
+    The block is one matrix_element_batch call over every index pair, so
+    entries[i, j] reproduces matrix_element(eta, i, j, g) bit for bit.
     """
     label = as_rep_label(eta)
     if size < 1:
         raise InvalidParams(f"size must be >= 1, got {size}")
-    te = label.two_eta
-    alpha, beta = g.alpha, g.beta
-    z = beta / alpha.conjugate()
-    xarg = 1.0 - 2.0 * (z.real * z.real + z.imag * z.imag)
-    out = np.empty((size, size), dtype=complex)
-    if size - 1 > _LOGSPACE_MIN:
-        for d in range(size):
-            jac = jacobi_sequence(float(d), float(te - 1), size - 1 - d, xarg)
-            for m in range(size - d):
-                out[m, m + d] = _entry_logspace(te, m, m + d, -beta, alpha, jac[m])
-                out[m + d, m] = (
-                    _entry_logspace(te, m, m + d, beta.conjugate(), alpha, jac[m])
-                    if d else out[m, m + d]
-                )
-        out.setflags(write=False)
-        return MatrixBlock(label, size, out, g)
-    # Everything an entry needs is a pure function of one index or the
-    # offset; tabulating those factors keeps each entry bit-identical to
-    # matrix_element while removing the per-entry power/Gamma work.
-    prefs = _pref_table(te, size)
-    conj_alpha = alpha.conjugate()
-    alpha_neg = [_ipow(alpha, -(te + j)) for j in range(size)]
-    alpha_conj = [_ipow(conj_alpha, m) for m in range(size)]
-    gamma_upper = [_ipow(-beta, d) for d in range(size)]
-    gamma_lower = [_ipow(beta.conjugate(), d) for d in range(size)]
-    for d in range(size):
-        jac = jacobi_sequence(float(d), float(te - 1), size - 1 - d, xarg)
-        pref_d = prefs[d]
-        gu, gl = gamma_upper[d], gamma_lower[d]
-        for m in range(size - d):
-            upper = _combine(pref_d[m], alpha_neg[m + d], alpha_conj[m], gu, jac[m])
-            out[m, m + d] = upper
-            out[m + d, m] = (
-                _combine(pref_d[m], alpha_neg[m + d], alpha_conj[m], gl, jac[m])
-                if d else upper
-            )
+    rows, cols = np.indices((size, size))
+    out = matrix_element_batch(label, rows, cols, g.alpha, g.beta)
     out.setflags(write=False)
     return MatrixBlock(label, size, out, g)
 

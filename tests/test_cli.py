@@ -56,7 +56,7 @@ def test_character_theta_and_alpha_paths():
     (rec,) = records_of(proc)
     expected = 0.5 * math.exp(-1.0) / math.sinh(1.0)
     assert rec["value_re"] == pytest.approx(expected, rel=1e-9)
-    assert rec["inputs"]["regime"] == "hyperbolic_abs_convergent"
+    assert rec["inputs"]["regime"] == "hyperbolic_conditional"
 
 
 def test_character_boundary_exits_3():

@@ -79,6 +79,15 @@ def test_cartan_ranges_normalized():
         CartanCoords(-0.1, 0.0, 0.0)
 
 
+@pytest.mark.parametrize("coords", [
+    (math.nan, 0.0, 0.0), (math.inf, 0.0, 0.0), (1.0, math.nan, 0.0),
+    (1.0, -math.inf, 0.0), (1.0, 0.0, math.nan), (1.0, 0.0, math.inf),
+])
+def test_cartan_rejects_non_finite_coordinates(coords):
+    with pytest.raises(InvalidParams):
+        CartanCoords(*coords)
+
+
 # ----------------------------------------------------------------------
 # Chart conversions
 # ----------------------------------------------------------------------

@@ -140,6 +140,11 @@ def test_sequence_accepts_arrays():
     for degree in (0, 3, 6):
         scalar = [jacobi_p(JacobiParams(1.0, 2.0, degree), float(v)) for v in x]
         np.testing.assert_allclose(seq[degree], scalar, rtol=1e-14, atol=1e-15)
+    # One lane per exponent a: each lane is the scalar recurrence, bit for bit.
+    lanes = jacobi_sequence(np.arange(9.0), 2.0, 6, 0.37)
+    for a in range(9):
+        scalar = jacobi_sequence(float(a), 2.0, 6, 0.37)
+        assert [float(v[a]) for v in lanes] == scalar
 
 
 def test_invalid_exponents_rejected():
@@ -156,6 +161,11 @@ def test_invalid_exponents_rejected():
 def test_poch_ratio_trivial_and_frozen():
     assert log_poch_ratio(4, 3, 3) == 0.0
     assert log_poch_ratio(2, 1, 0) == pytest.approx(math.log(2.0), rel=1e-15)
+    n, m = np.array([0, 5, 9, 40]), np.array([0, 3, 9, 7])
+    assert log_poch_ratio(3, n, m).tolist() == [log_poch_ratio(3, int(a), int(b))
+                                                for a, b in zip(n, m)]
+    with pytest.raises(InvalidParams):
+        log_poch_ratio(2, -1, 3)
 
 
 def test_poch_ratio_matches_big_integer_oracle():

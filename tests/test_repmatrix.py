@@ -1,7 +1,9 @@
 """Matrix elements: first-principles oracle, cross-form identity, truncations."""
 import cmath
 import math
+import warnings
 
+import mpmath as mp
 import numpy as np
 import pytest
 
@@ -20,7 +22,6 @@ from su11 import (
     unitarity_defect,
     homomorphism_defect,
 )
-from su11.repmatrix import _entry, _entry_logspace
 
 ETAS = ["1", "3/2", "2", "5/2", "3", "7/2", "4"]
 
@@ -56,6 +57,25 @@ def disk_overlap_oracle(eta, n, n_prime, g, radial=96, angular=256):
     integrand = np.conj(norm_n * z**n) * transformed
     angular_avg = integrand.sum(axis=1) * (2.0 * math.pi / angular)
     return complex(np.dot(wr * weight * rho, angular_avg))
+
+
+def closed_form_oracle(eta, n, n_prime, g, dps=50):
+    """U_{n n'}(g) from the closed form, evaluated in mpmath at dps digits.
+
+    The double entries (alpha, beta) of g are taken as exact, so the only
+    rounding left in the comparison is the program's own.
+    """
+    te = as_rep_label(eta).two_eta
+    m, big = min(n, n_prime), max(n, n_prime)
+    with mp.workdps(dps):
+        alpha, beta = mp.mpc(g.alpha), mp.mpc(g.beta)
+        gamma = -beta if n_prime >= n else mp.conj(beta)
+        x = 1 - 2 * abs(beta / mp.conj(alpha)) ** 2
+        pref = mp.sqrt(mp.factorial(m) * mp.gamma(te + big)
+                       / (mp.factorial(big) * mp.gamma(te + m)))
+        value = (pref * alpha ** (-(te + big)) * mp.conj(alpha) ** m
+                 * gamma ** (big - m) * mp.jacobi(m, big - m, te - 1, x))
+        return complex(value)
 
 
 # ----------------------------------------------------------------------
@@ -127,6 +147,17 @@ def test_chart_form_special_cases():
     assert matrix_element_cartan("3/2", 1, 4, c) == 0.0
 
 
+@pytest.mark.parametrize("tau", [30.0, 40.0])
+def test_chart_form_keeps_large_tau_magnitudes(tau):
+    # x = 1 - 2 tanh^2(tau/2) rounds to -1 here, so 1 + x must come from tau.
+    g = from_cartan(tau, 0.4, -1.1)
+    c = to_cartan(g)
+    for eta, n, np_ in [("1", 0, 0), ("3/2", 1, 3), ("2", 3, 1), ("5/2", 4, 4)]:
+        direct = matrix_element(eta, n, np_, g)
+        assert direct != 0.0
+        assert matrix_element_cartan(eta, n, np_, c) == pytest.approx(direct, rel=1e-10)
+
+
 def test_modulus_symmetric_under_index_swap():
     rng = np.random.default_rng(5)
     for _ in range(50):
@@ -149,25 +180,69 @@ def test_batch_matches_scalar():
         for i in (0, 17, 63):
             g = from_cartan(tau[i], phi[i], psi[i])
             assert batch[i] == pytest.approx(matrix_element("3/2", n, np_, g), rel=1e-12)
+    # Index arrays over one element: each entry is the scalar call, bit for bit.
+    g = from_cartan(tau[5], phi[5], psi[5])
+    rows, cols = np.array([0, 7, 3, 12]), np.array([0, 2, 9, 12])
+    values = matrix_element_batch("3/2", rows, cols, g.alpha, g.beta)
+    assert values.tolist() == [matrix_element("3/2", int(i), int(j), g) for i, j in zip(rows, cols)]
+    with pytest.raises(InvalidParams):
+        matrix_element_batch("3/2", rows, cols, alpha[:4], beta[:4])
 
 
 # ----------------------------------------------------------------------
-# Large-index log-space assembly
+# Large indices and large tau
 # ----------------------------------------------------------------------
 
-def test_logspace_path_agrees_with_direct_product():
+def test_large_index_entries_match_mpmath():
     g = from_cartan(1.6, 0.7, -0.4)
-    z = g.beta / g.alpha.conjugate()
-    xarg = 1.0 - 2.0 * abs(z) ** 2
-    from su11.jacobi import jacobi_sequence
-
     for n, np_ in [(171, 169), (169, 171), (180, 0)]:
-        m, big = min(n, np_), max(n, np_)
-        gamma = -g.beta if np_ >= n else g.beta.conjugate()
-        jac = jacobi_sequence(float(big - m), 1.0, m, xarg)[-1]
-        direct = _entry(2, m, big, gamma, g.alpha, jac)
-        logspace = _entry_logspace(2, m, big, gamma, g.alpha, jac)
-        assert logspace == pytest.approx(direct, rel=1e-11)
+        oracle = closed_form_oracle("1", n, np_, g)
+        assert matrix_element("1", n, np_, g) == pytest.approx(oracle, rel=1e-11)
+
+
+@pytest.mark.parametrize("n, tau", [(150, 11.0), (50, 30.0)])
+def test_scalar_entries_finite_where_powers_overflow(n, tau):
+    # |alpha|^-(2 eta + n) and conj(alpha)^n underflow and overflow apart
+    # here; the entry itself is a representable double.
+    g = from_cartan(tau, 0.3, 0.2)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        value = matrix_element("1", n, n, g)
+    assert math.isfinite(abs(value))
+    assert value == pytest.approx(closed_form_oracle("1", n, n, g), rel=1e-10)
+
+
+def test_batch_entries_finite_at_large_index():
+    g = from_cartan(6.0, 0.3, 0.2)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        (value,) = matrix_element_batch("1", 400, 400, [g.alpha], [g.beta])
+    assert math.isfinite(abs(value))
+    assert value == pytest.approx(closed_form_oracle("1", 400, 400, g), rel=1e-10)
+
+
+def test_jacobi_overflow_is_refused():
+    # |z|^700 underflows while P_600^{(700, 1)}(x) overflows: no double
+    # holds the Jacobi factor, so every form refuses instead of returning NaN.
+    g = from_cartan(0.1, 0.0, 0.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(InvalidParams):
+            matrix_element("1", 600, 1300, g)
+        with pytest.raises(InvalidParams):
+            matrix_element_batch("1", 600, 1300, [g.alpha], [g.beta])
+
+
+def test_large_block_discards_overflowing_lanes():
+    # The recurrence runs every offset to the block's top degree; past
+    # n_< + d = size - 1 those lanes overflow, but no kept entry depends on them.
+    g = from_cartan(0.1, 0.5, -0.3)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        block = truncated_operator("1", g, 600).entries
+    assert np.all(np.isfinite(block))
+    for i, j in [(599, 0), (300, 299), (0, 599), (599, 599)]:
+        assert block[i, j] == matrix_element("1", i, j, g)
 
 
 def test_logspace_survives_where_direct_overflows():
@@ -191,6 +266,12 @@ def test_block_entries_match_scalar_bit_for_bit():
         for i in range(12):
             for j in range(12):
                 assert block.entries[i, j] == matrix_element(eta, i, j, g)
+    rng = np.random.default_rng(180)
+    block = truncated_operator("3/2", g, 180)
+    cells = [(i, j) for i, j in rng.integers(0, 180, (200, 2))]
+    cells += [(179, 179), (0, 179), (179, 0), (171, 169), (169, 171)]
+    for i, j in cells:
+        assert block.entries[i, j] == matrix_element("3/2", int(i), int(j), g)
 
 
 def test_block_of_identity_and_compact():
@@ -199,6 +280,9 @@ def test_block_of_identity_and_compact():
     h = truncated_operator("2", compact_element(0.4), 8).entries
     off_diagonal = h - np.diag(np.diag(h))
     assert np.all(off_diagonal == 0.0)
+    # The zeros are +0j, never -0j.
+    zeros = np.concatenate([block.entries.ravel(), h[~np.eye(8, dtype=bool)]])
+    assert not np.signbit(zeros.real).any() and not np.signbit(zeros.imag).any()
 
 
 def test_block_entries_read_only():
