@@ -10,7 +10,7 @@ import math
 
 from su11 import (
     abel_trace,
-    abel_trace_limit,
+    abel_trace_closed_form,
     character,
     character_compact,
     damped_trace_sum,
@@ -31,8 +31,8 @@ print("  closed form:", chi)
 for r in (0.9, 0.99, 0.999):
     s = abel_trace("3/2", 2.0, r, 30_000)
     print(f"  damped sum, r = {r}: {s:+.8f}  (gap {abs(s - chi):.2e})")
-print("  r -> 1 closed limit:", abel_trace_limit("3/2", 2.0),
-      " gap:", abs(abel_trace_limit("3/2", 2.0) - chi))
+limit = abel_trace_closed_form("3/2", 2.0, 1.0)
+print("  closed form at r = 1:", limit, " gap:", abs(limit - chi))
 
 print("\nfrozen values: chi(h(pi)) at eta = 1 and 3/2:")
 print("  ", character_compact("1", math.pi), character_compact("3/2", math.pi))

@@ -8,7 +8,7 @@ characters is the Abel sum of the ladder's characters.
 """
 from su11 import (
     abel_character_sum,
-    abel_character_sum_limit,
+    abel_character_sum_closed_form,
     character_product,
     decompose,
     multiplicity,
@@ -29,5 +29,5 @@ print("damped ladder sums approach it linearly in (1 - r):")
 for r, n_terms in ((0.9, 300), (0.99, 3000), (0.999, 30000)):
     s = abel_character_sum("1", "3/2", theta, r, n_terms)
     print(f"  r = {r}: gap {abs(s - target):.3e}")
-print("closed-form r -> 1 limit gap:",
-      abs(abel_character_sum_limit("1", "3/2", theta) - target))
+print("closed form at r = 1, gap:",
+      abs(abel_character_sum_closed_form("1", "3/2", theta, 1.0) - target))

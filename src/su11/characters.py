@@ -34,7 +34,6 @@ from .errors import (
 )
 from .group import TWO_PI, GroupElement
 from .halfint import as_rep_label
-from .jacobi import jacobi_sequence
 from .repmatrix import matrix_element_batch
 
 BOUNDARY_TOL = 1e-9
@@ -118,6 +117,16 @@ def character_compact(eta, theta: float) -> complex:
     return cmath.exp(0.5j * (1 - label.two_eta) * theta) / (2j * s)
 
 
+def _diagonal_sum(eta, g: GroupElement, r: float, terms: int) -> complex:
+    """sum_{n < terms} r^n U_{nn}(g), the terms added in order, n = 0 first."""
+    if terms < 0:
+        raise InvalidParams(f"terms must be >= 0, got {terms}")
+    if terms == 0:
+        return 0j
+    n = np.arange(terms)
+    return sum((r ** n * matrix_element_batch(eta, n, n, g.alpha, g.beta)).tolist(), 0j)
+
+
 def trace_partial_sum(eta, g: GroupElement, terms: int) -> complex:
     """Partial sum of the diagonal matrix elements, sum_{n < terms} U_{nn}(g).
 
@@ -132,13 +141,7 @@ def trace_partial_sum(eta, g: GroupElement, terms: int) -> complex:
     each term equals ``matrix_element(eta, n, n, g)`` bit for bit and the
     terms are added in order, n = 0 first.
     """
-    if terms < 0:
-        raise InvalidParams(f"terms must be >= 0, got {terms}")
-    if terms == 0:
-        return 0j
-    n = np.arange(terms)
-    diagonal = matrix_element_batch(eta, n, n, g.alpha, g.beta)
-    return sum(diagonal.tolist(), 0j)
+    return _diagonal_sum(eta, g, 1.0, terms)
 
 
 def abel_trace(eta, theta: float, r: float, terms: int) -> complex:
@@ -160,21 +163,18 @@ def abel_trace(eta, theta: float, r: float, terms: int) -> complex:
 
 
 def abel_trace_closed_form(eta, theta: float, r: float) -> complex:
-    """Geometric closed form exp(-i eta theta) / (1 - r exp(-i theta)) of the damped sum."""
-    label = as_rep_label(eta)
-    if not 0.0 < r < 1.0:
-        raise InvalidDamping(f"damping must lie in (0, 1), got {r}")
-    eta_value = 0.5 * label.two_eta
-    return cmath.exp(-1j * eta_value * theta) / (1.0 - r * cmath.exp(-1j * theta))
+    """Geometric closed form exp(-i eta theta) / (1 - r exp(-i theta)) of the damped sum.
 
-
-def abel_trace_limit(eta, theta: float) -> complex:
-    """The r -> 1 limit exp(-i eta theta) / (1 - exp(-i theta)); equals the compact character."""
+    r = 1 gives the Abel limit, which equals the compact character; it is
+    singular where sin(theta/2) vanishes.
+    """
     label = as_rep_label(eta)
-    if abs(math.sin(0.5 * theta)) < _SIN_TOL:
+    if not 0.0 < r <= 1.0:
+        raise InvalidDamping(f"damping must lie in (0, 1], got {r}")
+    if r == 1.0 and abs(math.sin(0.5 * theta)) < _SIN_TOL:
         raise SingularAngle(f"sin(theta/2) vanishes at theta = {theta!r}")
     eta_value = 0.5 * label.two_eta
-    return cmath.exp(-1j * eta_value * theta) / (1.0 - cmath.exp(-1j * theta))
+    return cmath.exp(-1j * eta_value * theta) / (1.0 - r * cmath.exp(-1j * theta))
 
 
 def damped_trace_sum(eta, g: GroupElement, r: float, terms: int) -> complex:
@@ -190,16 +190,4 @@ def damped_trace_sum(eta, g: GroupElement, r: float, terms: int) -> complex:
     """
     if not 0.0 < r < 1.0:
         raise InvalidDamping(f"damping must lie in (0, 1), got {r}")
-    if terms < 0:
-        raise InvalidParams(f"terms must be >= 0, got {terms}")
-    if terms == 0:
-        return 0j
-    label = as_rep_label(eta)
-    te = label.two_eta
-    alpha = g.alpha
-    z = g.beta / alpha.conjugate()
-    xarg = 1.0 - 2.0 * (z.real * z.real + z.imag * z.imag)
-    values = np.asarray(jacobi_sequence(0.0, float(te - 1), terms - 1, xarg))
-    ratio = r * alpha.conjugate() / alpha
-    geometric = np.power(ratio, np.arange(terms))
-    return alpha ** -te * complex(np.sum(geometric * values))
+    return _diagonal_sum(eta, g, r, terms)

@@ -93,6 +93,13 @@ def _range_arg(text: str) -> list:
         ) from exc
 
 
+def _positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"expected an integer >= 1, got {text!r}")
+    return value
+
+
 def _cmd_elem(args) -> int:
     g = from_cartan(args.tau, args.phi, args.psi)
     records = []
@@ -247,7 +254,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--np", type=int, required=True)
     p.add_argument("--mc", action="store_true")
-    p.add_argument("--samples", type=int, default=200_000)
+    p.add_argument("--samples", type=_positive_int, default=200_000)
     p.add_argument("--seed", type=int, default=42)
     add_format(p)
     p.set_defaults(func=_cmd_ortho)

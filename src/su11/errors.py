@@ -26,4 +26,4 @@ class SingularAngle(Su11Error):
 
 
 class InvalidDamping(Su11Error):
-    """Abel damping factor outside the open interval (0, 1)."""
+    """Abel damping factor outside (0, 1) for a sum, or (0, 1] for a closed form."""

@@ -113,11 +113,6 @@ class DiskPoint:
             raise InvalidParams(f"disk point must satisfy |z| < 1, got |z| = {abs(self.z)}")
 
 
-def from_alpha_beta(alpha: complex, beta: complex) -> GroupElement:
-    """Build an element from matrix entries, validating the determinant."""
-    return GroupElement(alpha, beta)
-
-
 def from_cartan(coords, phi: float | None = None, psi: float | None = None) -> GroupElement:
     """Element of the chart point; accepts CartanCoords or (tau, phi, psi)."""
     if not isinstance(coords, CartanCoords):

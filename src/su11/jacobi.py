@@ -20,21 +20,6 @@ import numpy as np
 from .errors import InvalidParams
 
 
-@dataclass(frozen=True)
-class JacobiParams:
-    """Exponent pair and degree of a Jacobi polynomial P_degree^{(a, b)}."""
-
-    a: float
-    b: float
-    degree: int
-
-    def __post_init__(self) -> None:
-        if self.a <= -1.0 or self.b <= -1.0:
-            raise InvalidParams(f"Jacobi exponents must exceed -1, got ({self.a}, {self.b})")
-        if self.degree < 0:
-            raise InvalidParams(f"degree must be >= 0, got {self.degree}")
-
-
 def jacobi_sequence(a, b: float, max_degree: int, x):
     """All Jacobi polynomial values P_0 ... P_max_degree at x.
 
@@ -79,11 +64,6 @@ def jacobi_sequence(a, b: float, max_degree: int, x):
         c5 = 2.0 * (n + a - 1.0) * (n + b - 1.0) * (2.0 * n + apb)
         values.append((c2 * (c3 * x + c4) * values[n - 1] - c5 * values[n - 2]) / c1)
     return values
-
-
-def jacobi_p(params: JacobiParams, x):
-    """Value of the Jacobi polynomial described by params at x."""
-    return jacobi_sequence(params.a, params.b, params.degree, x)[-1]
 
 
 @lru_cache(maxsize=32)

@@ -162,8 +162,3 @@ def monte_carlo_haar(req: OrthoRequest, samples: int, seed: int,
     variance = max(total_sq / samples - mean * mean, 0.0) / samples
     return MonteCarloEstimate(tau_max * mean, tau_max * math.sqrt(variance), samples, seed)
 
-
-def monte_carlo_haar_check(req: OrthoRequest, samples: int, seed: int,
-                           tau_max: float = 12.0) -> float:
-    """The Monte Carlo estimate alone, for callers that bring their own tolerance."""
-    return monte_carlo_haar(req, samples, seed, tau_max).value

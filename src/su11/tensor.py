@@ -16,12 +16,9 @@ import cmath
 import math
 from dataclasses import dataclass
 
-from .characters import character_compact
-from .errors import InvalidDamping, InvalidParams, SingularAngle
-from .group import TWO_PI
+from .characters import abel_trace, abel_trace_closed_form, character_compact
+from .errors import InvalidDamping, InvalidParams
 from .halfint import HalfInteger, RepLabel, as_rep_label
-
-_SIN_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -63,47 +60,45 @@ def decompose(eta1, eta2, n_max: int) -> Decomposition:
 
 
 def character_product(eta1, eta2, theta: float) -> complex:
-    """Closed form -(1 / (4 sin^2(theta/2))) exp(i (1 - eta1 - eta2) theta)."""
+    """Closed form -(1 / (4 sin^2(theta/2))) exp(i (1 - eta1 - eta2) theta).
+
+    Same angle domain as ``character_compact``: SingularAngle where
+    sin(theta/2) vanishes, UnsupportedClass outside (0, 2*pi).
+    """
     l1, l2 = as_rep_label(eta1), as_rep_label(eta2)
+    character_compact(l1, theta)  # the angle guards; the value is not needed
     s = math.sin(0.5 * theta)
-    if abs(s) < _SIN_TOL:
-        raise SingularAngle(f"sin(theta/2) vanishes at theta = {theta!r}")
-    if not 0.0 < theta < TWO_PI:
-        raise SingularAngle(f"theta must lie in (0, 2*pi), got {theta!r}")
     coeff = 0.5 * (2 - l1.two_eta - l2.two_eta)
     return -0.25 / (s * s) * cmath.exp(1j * coeff * theta)
 
 
 def abel_character_sum(eta1, eta2, theta: float, r: float, n_max: int = 50) -> complex:
-    """Damped character series sum_{n = 0}^{n_max} r^n chi^{eta1 + eta2 + n}(h(theta))."""
+    """Damped character series sum_{n = 0}^{n_max} r^n chi^{eta1 + eta2 + n}(h(theta)).
+
+    chi^{eta + n}(h(theta)) = exp(-i (eta + n) theta) / (1 - exp(-i theta)),
+    so the series is the damped compact trace ``abel_trace`` of the lowest
+    summand, divided by 1 - exp(-i theta).
+    """
     l1, l2 = as_rep_label(eta1), as_rep_label(eta2)
     if not 0.0 < r < 1.0:
         raise InvalidDamping(f"damping must lie in (0, 1), got {r}")
     if n_max < 0:
         raise InvalidParams(f"n_max must be >= 0, got {n_max}")
-    base = l1.two_eta + l2.two_eta
-    total = 0j
-    damp = 1.0
-    for n in range(n_max + 1):
-        total += damp * character_compact(RepLabel(HalfInteger(base + 2 * n)), theta)
-        damp *= r
-    return total
+    base = RepLabel(HalfInteger(l1.two_eta + l2.two_eta))
+    character_compact(base, theta)  # the angle guards; the value is not needed
+    return abel_trace(base, theta, r, n_max + 1) / (1.0 - cmath.exp(-1j * theta))
 
 
 def abel_character_sum_closed_form(eta1, eta2, theta: float, r: float) -> complex:
-    """Geometric closed form chi^{eta1 + eta2}(h(theta)) / (1 - r exp(-i theta))."""
+    """Geometric closed form chi^{eta1 + eta2}(h(theta)) / (1 - r exp(-i theta)).
+
+    r = 1 gives the Abel limit, which equals ``character_product``.
+    """
     l1, l2 = as_rep_label(eta1), as_rep_label(eta2)
-    if not 0.0 < r < 1.0:
-        raise InvalidDamping(f"damping must lie in (0, 1), got {r}")
+    if not 0.0 < r <= 1.0:
+        raise InvalidDamping(f"damping must lie in (0, 1], got {r}")
     lead = character_compact(RepLabel(HalfInteger(l1.two_eta + l2.two_eta)), theta)
     return lead / (1.0 - r * cmath.exp(-1j * theta))
-
-
-def abel_character_sum_limit(eta1, eta2, theta: float) -> complex:
-    """The r -> 1 closed form; equals character_product identically."""
-    l1, l2 = as_rep_label(eta1), as_rep_label(eta2)
-    lead = character_compact(RepLabel(HalfInteger(l1.two_eta + l2.two_eta)), theta)
-    return lead / (1.0 - cmath.exp(-1j * theta))
 
 
 def verify_expansion_identity(theta: float) -> float:
@@ -113,8 +108,7 @@ def verify_expansion_identity(theta: float) -> float:
     1/sin(theta/2); the two expressions agree identically, so the residual
     is pure round-off.
     """
-    s = math.sin(0.5 * theta)
-    if abs(s) < _SIN_TOL:
-        raise SingularAngle(f"sin(theta/2) vanishes at theta = {theta!r}")
-    rhs = 2j * cmath.exp(-0.5j * theta) / (1.0 - cmath.exp(-1j * theta))
-    return abs(1.0 / s - rhs)
+    # exp(-i theta) / (1 - exp(-i theta)) at eta = 1; it raises SingularAngle
+    # where sin(theta/2) vanishes.
+    rhs = 2j * cmath.exp(0.5j * theta) * abel_trace_closed_form("1", theta, 1.0)
+    return abs(1.0 / math.sin(0.5 * theta) - rhs)

@@ -15,7 +15,7 @@ import numpy as np
 
 from .characters import (
     abel_trace,
-    abel_trace_limit,
+    abel_trace_closed_form,
     character,
     character_cartan,
     character_compact,
@@ -40,7 +40,7 @@ from .repmatrix import (
 )
 from .tensor import (
     abel_character_sum,
-    abel_character_sum_limit,
+    abel_character_sum_closed_form,
     character_product,
     decompose,
     multiplicity,
@@ -246,7 +246,7 @@ def run_character(seed: int = 42, **_) -> list:
     for eta in _ETAS_ORTHO:
         for theta in np.linspace(0.3, 2.0 * math.pi - 0.3, 25):
             closed = character_compact(eta, float(theta))
-            worst = max(worst, abs(abel_trace_limit(eta, float(theta)) - closed))
+            worst = max(worst, abs(abel_trace_closed_form(eta, float(theta), 1.0) - closed))
     checks.append(_check("character", "abel_limit_closed_form", worst, 1e-13, grid=25))
 
     worst = 0.0
@@ -304,7 +304,7 @@ def run_tensor(seed: int = 42, **_) -> list:
 
     worst = 0.0
     for eta1, eta2, theta in tuples:
-        worst = max(worst, abs(abel_character_sum_limit(eta1, eta2, theta)
+        worst = max(worst, abs(abel_character_sum_closed_form(eta1, eta2, theta, 1.0)
                                - character_product(eta1, eta2, theta)))
     checks.append(_check("tensor", "abel_limit_equals_product", worst, 1e-13,
                          cases=len(tuples)))

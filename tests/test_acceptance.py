@@ -17,7 +17,7 @@ import numpy as np
 from su11 import (
     OrthoRequest,
     abel_trace,
-    abel_trace_limit,
+    abel_trace_closed_form,
     as_rep_label,
     character,
     character_compact,
@@ -249,7 +249,7 @@ def test_criterion_06_characters_elliptic_abel(capsys):
             slope = np.polyfit(gaps, residuals, 1)[0]
             slopes_ok &= math.isfinite(slope) and slope > 0.0
             worst_resid = max(worst_resid, residuals[2] / abs(target))
-            worst_limit = max(worst_limit, abs(abel_trace_limit(eta, theta) - target))
+            worst_limit = max(worst_limit, abs(abel_trace_closed_form(eta, theta, 1.0) - target))
     elapsed = time.perf_counter() - start
     ok = slopes_ok and worst_resid <= 1e-2 and worst_limit <= 1e-13 and elapsed < 1.0
     report(capsys, 6, "elliptic damped traces scale linearly to the closed form", ok,

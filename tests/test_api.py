@@ -1,0 +1,26 @@
+"""The public surface: ``su11.__all__`` and the import rule between modules."""
+import ast
+from pathlib import Path
+
+import su11
+
+
+def test_all_names_resolve_and_appear_once():
+    names = su11.__all__
+    assert len(names) == len(set(names))
+    for name in names:
+        assert hasattr(su11, name), name
+
+
+def test_no_module_imports_a_private_name_from_another():
+    # Each module keeps its helpers to itself; the others reach it only
+    # through public names.
+    offenders = []
+    for path in sorted(Path(su11.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.ImportFrom) and (
+                node.level > 0 or (node.module or "").split(".")[0] == "su11"
+            ):
+                offenders += [f"{path.name}: {alias.name}" for alias in node.names
+                              if alias.name.startswith("_")]
+    assert offenders == []

@@ -1,7 +1,9 @@
 """Character closed forms against trace-summation oracles."""
 import cmath
 import math
+from fractions import Fraction
 
+import mpmath as mp
 import numpy as np
 import pytest
 
@@ -11,11 +13,11 @@ from su11 import (
     HYPERBOLIC,
     IDENTITY,
     InvalidDamping,
+    InvalidParams,
     SingularAngle,
     UnsupportedClass,
     abel_trace,
     abel_trace_closed_form,
-    abel_trace_limit,
     character,
     character_cartan,
     character_compact,
@@ -177,9 +179,45 @@ def test_damped_trace_extrapolates_to_closed_form():
             assert extrapolated == pytest.approx(closed, rel=5e-4)
 
 
+def mp_damped_diagonal_sum(eta, tau, phi, psi, r, terms, dps=30):
+    """sum_{n < terms} r^n U_nn(g) in mpmath.
+
+    U_nn = alpha^(-2 eta) (conj(alpha)/alpha)^n P_n^(0, 2 eta - 1)(x), with
+    P_n from its three-term recurrence.
+    """
+    with mp.workdps(dps):
+        te = int(2 * Fraction(eta))
+        alpha = mp.cosh(mp.mpf(tau) / 2) * mp.expj((mp.mpf(phi) + psi) / 2)
+        x = 1 - 2 * mp.tanh(mp.mpf(tau) / 2) ** 2
+        b = te - 1
+        prev, cur = mp.mpf(1), 1 + (b + 2) * (x - 1) / 2
+        q = r * mp.conj(alpha) / alpha
+        total, power = prev, q
+        for n in range(1, terms):
+            total += power * cur
+            power *= q
+            m = n + 1
+            s = 2 * m + b
+            prev, cur = cur, (((s - 1) * (s * (s - 2) * x - b * b) * cur
+                               - 2 * (m - 1) * (m + b - 1) * s * prev)
+                              / (2 * m * (m + b) * (s - 2)))
+        return complex(alpha ** -te * total)
+
+
+def test_damped_trace_matches_mpmath():
+    for eta, tau, phi, psi, r in (("1", 0.5, 0.3, -0.7, 0.5), ("5/2", 4.0, 5.0, -3.0, 0.999),
+                                  ("3", 2.0, 0.0, 0.0, 0.95)):
+        value = damped_trace_sum(eta, from_cartan(tau, phi, psi), r, 4000)
+        assert value == pytest.approx(mp_damped_diagonal_sum(eta, tau, phi, psi, r, 4000),
+                                      rel=1e-10)
+
+
 def test_damped_trace_validation():
     with pytest.raises(InvalidDamping):
         damped_trace_sum("1", IDENTITY, 1.0, 10)
+    with pytest.raises(InvalidParams):
+        damped_trace_sum("1", IDENTITY, 0.5, -1)
+    assert damped_trace_sum("1", IDENTITY, 0.5, 0) == 0j
 
 
 # ----------------------------------------------------------------------
@@ -211,7 +249,7 @@ def test_abel_residual_linear_in_damping_gap():
 def test_abel_limit_equals_compact_character():
     for eta in ("1", "3/2", "2", "5/2"):
         for theta in np.linspace(0.2, 2 * math.pi - 0.2, 30):
-            lhs = abel_trace_limit(eta, float(theta))
+            lhs = abel_trace_closed_form(eta, float(theta), 1.0)
             rhs = character_compact(eta, float(theta))
             assert abs(lhs - rhs) <= 1e-13
 
@@ -223,6 +261,15 @@ def test_abel_trace_validation():
         abel_trace("1", 1.0, 1.0, 10)
     with pytest.raises(SingularAngle):
         abel_trace("1", 0.0, 0.5, 10)
+    # The closed form also takes r = 1, the Abel limit, singular where
+    # sin(theta/2) vanishes.
+    for r in (0.0, 1.5, -0.5):
+        with pytest.raises(InvalidDamping):
+            abel_trace_closed_form("1", 1.0, r)
+    for theta in (0.0, 2 * math.pi, -2 * math.pi):
+        with pytest.raises(SingularAngle):
+            abel_trace_closed_form("1", theta, 1.0)
+    assert abel_trace_closed_form("1", 0.0, 0.5) == pytest.approx(2.0, rel=1e-15)
 
 
 def test_geometric_phase_identity():

@@ -90,6 +90,14 @@ def test_ortho_monte_carlo_deterministic():
     assert abs(mc["value_re"] - 2.0) <= 3.0 * mc["inputs"]["stderr"]
 
 
+def test_ortho_rejects_nonpositive_samples_as_usage_error():
+    for samples in ("0", "-5"):
+        proc = run_cli("ortho", "--eta1", "1", "--eta2", "1", "--m", "0", "--mp", "0",
+                       "--n", "0", "--np", "0", "--mc", "--samples", samples)
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+
+
 def test_tensor_spectrum_and_multiplicity():
     proc = run_cli("tensor", "--eta1", "1", "--eta2", "1", "--nmax", "3")
     recs = records_of(proc)
@@ -132,6 +140,15 @@ def test_verify_single_suite_passes():
     assert proc.returncode == 0
     recs = records_of(proc)
     assert recs and all(r["inputs"]["passed"] for r in recs)
+
+
+def test_verify_zero_samples_skips_monte_carlo():
+    proc = run_cli("verify", "--suite", "all", "--samples", "0")
+    assert proc.returncode == 0
+    recs = records_of(proc)
+    assert len(recs) == 22
+    assert all(r["inputs"]["passed"] for r in recs)
+    assert "monte_carlo_spot" not in {r["inputs"]["check"] for r in recs}
 
 
 def test_verify_tol_override_can_fail():

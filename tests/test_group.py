@@ -9,10 +9,10 @@ from su11 import (
     IDENTITY,
     CartanCoords,
     DeterminantViolation,
+    GroupElement,
     InvalidParams,
     compact_element,
     disk_point,
-    from_alpha_beta,
     from_cartan,
     haar_density,
     inverse,
@@ -46,19 +46,19 @@ def random_coords(rng, tau_max=5.0):
 # ----------------------------------------------------------------------
 
 def test_identity_and_hyperbolic_pair_are_valid():
-    assert from_alpha_beta(1.0, 0.0).alpha == 1.0
-    g = from_alpha_beta(math.cosh(0.35), math.sinh(0.35))
+    assert GroupElement(1.0, 0.0).alpha == 1.0
+    g = GroupElement(math.cosh(0.35), math.sinh(0.35))
     assert g.det() == pytest.approx(1.0, abs=1e-14)
 
 
 def test_determinant_violation():
     with pytest.raises(DeterminantViolation):
-        from_alpha_beta(1.0, 1.0)
+        GroupElement(1.0, 1.0)
     with pytest.raises(DeterminantViolation):
-        from_alpha_beta(1.0 + 1e-6, 0.0)
+        GroupElement(1.0 + 1e-6, 0.0)
     for bad in (float("nan"), float("inf")):
         with pytest.raises(DeterminantViolation):
-            from_alpha_beta(bad, 0.0)
+            GroupElement(bad, 0.0)
 
 
 def test_half_integer_rejects_non_lattice_values():
@@ -105,7 +105,7 @@ def test_to_cartan_identity_and_degenerate_canonicalization():
     c = to_cartan(IDENTITY)
     assert (c.tau, c.phi, c.psi) == (0.0, 0.0, 0.0)
     # tau = 0 leaves only phi + psi meaningful; the whole phase goes to psi.
-    c = to_cartan(from_alpha_beta(cmath.exp(0.25j * math.pi), 0.0))
+    c = to_cartan(GroupElement(cmath.exp(0.25j * math.pi), 0.0))
     assert c.tau == 0.0
     assert c.phi == 0.0
     assert c.psi == pytest.approx(math.pi / 2, abs=1e-15)

@@ -8,10 +8,8 @@ import pytest
 
 from su11 import (
     InvalidParams,
-    JacobiParams,
     gauss_jacobi,
     gr_7391,
-    jacobi_p,
     jacobi_sequence,
     log_poch_ratio,
     quadrature_order_for_degree,
@@ -77,20 +75,20 @@ def poch_ratio_exact(two_eta, n, m):
 
 def test_degree_zero_is_one():
     for a, b, x in [(0.0, 0.0, 0.3), (2.5, 1.0, -0.9), (0.0, 7.0, 1.0)]:
-        assert jacobi_p(JacobiParams(a, b, 0), x) == 1.0
+        assert jacobi_sequence(a, b, 0, x)[-1] == 1.0
 
 
 def test_degree_one_matches_series():
     for a, b, x in [(0.0, 1.0, 0.25), (3.0, 2.0, -0.5), (1.5, 0.5, 0.75)]:
         expected = jacobi_series_float(1, a, b, x)
-        value = jacobi_p(JacobiParams(a, b, 1), x)
+        value = jacobi_sequence(a, b, 1, x)[-1]
         assert value == pytest.approx((a + 1) + (a + b + 2) * (x - 1) / 2, rel=1e-14)
         assert value == pytest.approx(expected, rel=1e-12)
 
 
 def test_endpoint_value_is_binomial():
     for n, a, b in [(3, 0, 1), (7, 2, 5), (12, 4, 3)]:
-        assert jacobi_p(JacobiParams(float(a), float(b), n), 1.0) == pytest.approx(
+        assert jacobi_sequence(float(a), float(b), n, 1.0)[-1] == pytest.approx(
             math.comb(n + a, n), rel=1e-13
         )
 
@@ -100,7 +98,7 @@ def test_values_match_exact_rational_series():
     for n, a, b in [(5, 0, 1), (10, 2, 3), (20, 1, 5), (30, 3, 1)]:
         for x in xs:
             exact = jacobi_series_exact(n, a, b, x)
-            value = jacobi_p(JacobiParams(float(a), float(b), n), float(x))
+            value = jacobi_sequence(float(a), float(b), n, float(x))[-1]
             assert value == pytest.approx(float(exact), rel=1e-11, abs=1e-13)
 
 
@@ -111,7 +109,7 @@ def test_values_match_float_series_for_real_exponents():
         a = float(rng.uniform(-0.9, 4.0))
         b = float(rng.uniform(-0.9, 4.0))
         x = float(rng.uniform(-1.0, 1.0))
-        assert jacobi_p(JacobiParams(a, b, n), x) == pytest.approx(
+        assert jacobi_sequence(a, b, n, x)[-1] == pytest.approx(
             jacobi_series_float(n, a, b, x), rel=1e-9, abs=1e-11
         )
 
@@ -138,7 +136,7 @@ def test_sequence_accepts_arrays():
     x = np.linspace(-1.0, 1.0, 17)
     seq = jacobi_sequence(1.0, 2.0, 6, x)
     for degree in (0, 3, 6):
-        scalar = [jacobi_p(JacobiParams(1.0, 2.0, degree), float(v)) for v in x]
+        scalar = [jacobi_sequence(1.0, 2.0, degree, float(v))[-1] for v in x]
         np.testing.assert_allclose(seq[degree], scalar, rtol=1e-14, atol=1e-15)
     # One lane per exponent a: each lane is the scalar recurrence, bit for bit.
     lanes = jacobi_sequence(np.arange(9.0), 2.0, 6, 0.37)
@@ -149,7 +147,7 @@ def test_sequence_accepts_arrays():
 
 def test_invalid_exponents_rejected():
     with pytest.raises(InvalidParams):
-        JacobiParams(-1.0, 0.0, 2)
+        jacobi_sequence(-1.0, 0.0, 2, 0.0)
     with pytest.raises(InvalidParams):
         jacobi_sequence(0.0, -1.5, 3, 0.0)
 

@@ -11,9 +11,9 @@ from su11 import (
     InvalidDamping,
     RepLabel,
     SingularAngle,
+    UnsupportedClass,
     abel_character_sum,
     abel_character_sum_closed_form,
-    abel_character_sum_limit,
     as_rep_label,
     character_compact,
     character_product,
@@ -85,6 +85,34 @@ def test_character_product_singular():
         character_product("1", "1", 0.0)
 
 
+def test_angle_window_errors_agree():
+    # The sin(theta/2) test comes first; outside (0, 2*pi) every compact
+    # character formula refuses the angle the same way.
+    checks = (
+        lambda theta: character_compact("1", theta),
+        lambda theta: character_product("1", "1", theta),
+        lambda theta: abel_character_sum("1", "1", theta, 0.5, 10),
+    )
+    for f in checks:
+        for theta in (-0.4, 2 * math.pi + 1):
+            with pytest.raises(UnsupportedClass):
+                f(theta)
+        with pytest.raises(SingularAngle):
+            f(0.0)
+
+
+def test_abel_sum_is_ladder_of_compact_characters():
+    # The sum is abel_trace of the lowest summand over 1 - exp(-i theta);
+    # it must agree with the ladder added term by term.
+    for eta1, eta2, theta, r in (("1", "1", 1.0, 0.9), ("3/2", "2", math.pi, 0.99),
+                                 ("5/2", "1", 2 * math.pi - 0.5, 0.5)):
+        base = as_rep_label(eta1).two_eta + as_rep_label(eta2).two_eta
+        ladder = sum(r ** n * character_compact(RepLabel(HalfInteger(base + 2 * n)), theta)
+                     for n in range(301))
+        value = abel_character_sum(eta1, eta2, theta, r, 300)
+        assert abs(value - ladder) <= 1e-12 * abs(ladder)
+
+
 def test_consecutive_character_ratio_is_phase():
     theta = 1.9
     for base in ("2", "5/2"):
@@ -126,7 +154,7 @@ def test_abel_sum_residual_scales_linearly():
 def test_abel_limit_equals_product_everywhere():
     for eta1, eta2 in product(("1", "3/2", "2"), repeat=2):
         for theta in np.linspace(0.5, 2 * math.pi - 0.5, 20):
-            lhs = abel_character_sum_limit(eta1, eta2, float(theta))
+            lhs = abel_character_sum_closed_form(eta1, eta2, float(theta), 1.0)
             rhs = character_product(eta1, eta2, float(theta))
             assert abs(lhs - rhs) <= 1e-13 * max(1.0, abs(rhs))
 
@@ -136,6 +164,13 @@ def test_abel_sum_validation():
         abel_character_sum("1", "1", 1.0, 1.0, 10)
     with pytest.raises(SingularAngle):
         abel_character_sum("1", "1", 0.0, 0.5, 10)
+    # The closed form also takes r = 1, the Abel limit, with the same angle guards.
+    with pytest.raises(InvalidDamping):
+        abel_character_sum_closed_form("1", "1", 1.0, 1.5)
+    with pytest.raises(SingularAngle):
+        abel_character_sum_closed_form("1", "1", 0.0, 1.0)
+    with pytest.raises(UnsupportedClass):
+        abel_character_sum_closed_form("1", "1", -0.4, 1.0)
 
 
 def test_expansion_identity_frozen_and_grid():
