@@ -9,7 +9,6 @@ characters.
 """
 
 from .characters import (
-    BOUNDARY,
     BOUNDARY_TOL,
     ELLIPTIC,
     HYPERBOLIC,
@@ -49,7 +48,6 @@ from .halfint import HalfInteger, RepLabel, as_rep_label
 from .jacobi import (
     QuadratureRule,
     gauss_jacobi,
-    gr_7391,
     jacobi_sequence,
     log_poch_ratio,
     quadrature_order_for_degree,
@@ -65,7 +63,6 @@ from .orthogonality import (
     radial_integral,
 )
 from .repmatrix import (
-    IndexPair,
     MatrixBlock,
     homomorphism_defect,
     matrix_element,
@@ -82,13 +79,11 @@ from .tensor import (
     character_product,
     decompose,
     multiplicity,
-    verify_expansion_identity,
 )
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "BOUNDARY",
     "BOUNDARY_TOL",
     "BoundaryConjugacyClass",
     "CartanCoords",
@@ -103,7 +98,6 @@ __all__ = [
     "HYPERBOLIC",
     "HalfInteger",
     "IDENTITY",
-    "IndexPair",
     "InvalidDamping",
     "InvalidParams",
     "MatrixBlock",
@@ -132,7 +126,6 @@ __all__ = [
     "formal_dimension",
     "from_cartan",
     "gauss_jacobi",
-    "gr_7391",
     "haar_density",
     "homomorphism_defect",
     "inverse",
@@ -151,5 +144,4 @@ __all__ = [
     "trace_partial_sum",
     "truncated_operator",
     "unitarity_defect",
-    "verify_expansion_identity",
 ]

@@ -42,7 +42,6 @@ _SIN_TOL = 1e-12
 # The hyperbolic diagonal series converges only conditionally (terms ~ n^{-1/2}).
 HYPERBOLIC = "hyperbolic_conditional"
 ELLIPTIC = "elliptic_abel"
-BOUNDARY = "boundary"
 
 
 @dataclass(frozen=True)
@@ -101,6 +100,13 @@ def character_cartan(eta, x: float, phi: float, psi: float,
     return CharacterValue(value, ELLIPTIC)
 
 
+def _half_sine(theta: float) -> float:
+    """sin(theta/2); a non-finite angle names no class and is refused."""
+    if not math.isfinite(theta):
+        raise UnsupportedClass(f"theta must be finite, got {theta!r}")
+    return math.sin(0.5 * theta)
+
+
 def character_compact(eta, theta: float) -> complex:
     """Character on the compact subgroup, theta in (0, 2*pi) away from 0.
 
@@ -109,7 +115,7 @@ def character_compact(eta, theta: float) -> complex:
     a different branch choice, so other angles are refused.
     """
     label = as_rep_label(eta)
-    s = math.sin(0.5 * theta)
+    s = _half_sine(theta)
     if abs(s) < _SIN_TOL:
         raise SingularAngle(f"sin(theta/2) vanishes at theta = {theta!r}")
     if not 0.0 < theta < TWO_PI:
@@ -153,7 +159,7 @@ def abel_trace(eta, theta: float, r: float, terms: int) -> complex:
     label = as_rep_label(eta)
     if not 0.0 < r < 1.0:
         raise InvalidDamping(f"damping must lie in (0, 1), got {r}")
-    if abs(math.sin(0.5 * theta)) < _SIN_TOL:
+    if abs(_half_sine(theta)) < _SIN_TOL:
         raise SingularAngle(f"sin(theta/2) vanishes at theta = {theta!r}")
     if terms < 0:
         raise InvalidParams(f"terms must be >= 0, got {terms}")
@@ -171,7 +177,7 @@ def abel_trace_closed_form(eta, theta: float, r: float) -> complex:
     label = as_rep_label(eta)
     if not 0.0 < r <= 1.0:
         raise InvalidDamping(f"damping must lie in (0, 1], got {r}")
-    if r == 1.0 and abs(math.sin(0.5 * theta)) < _SIN_TOL:
+    if abs(_half_sine(theta)) < _SIN_TOL and r == 1.0:
         raise SingularAngle(f"sin(theta/2) vanishes at theta = {theta!r}")
     eta_value = 0.5 * label.two_eta
     return cmath.exp(-1j * eta_value * theta) / (1.0 - r * cmath.exp(-1j * theta))

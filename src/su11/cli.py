@@ -75,18 +75,13 @@ def _eta_arg(text: str) -> RepLabel:
         raise argparse.ArgumentTypeError(str(exc)) from exc
 
 
-def _range_arg(text: str) -> list:
+def _range_arg(text: str) -> range:
     try:
-        if ".." in text:
-            lo, hi = text.split("..")
-            values = list(range(int(lo), int(hi) + 1))
-            if not values or values[0] < 0:
-                raise ValueError(text)
-            return values
-        single = int(text)
-        if single < 0:
+        lo, sep, hi = text.partition("..")
+        values = range(int(lo), int(hi if sep else lo) + 1)
+        if not values or values.start < 0:
             raise ValueError(text)
-        return [single]
+        return values
     except ValueError as exc:
         raise argparse.ArgumentTypeError(
             f"expected a non-negative index or lo..hi range, got {text!r}"
@@ -102,17 +97,19 @@ def _positive_int(text: str) -> int:
 
 def _cmd_elem(args) -> int:
     g = from_cartan(args.tau, args.phi, args.psi)
-    records = []
-    for n in args.n:
-        for np_ in args.np:
-            value = matrix_element(args.eta, n, np_, g)
-            records.append(OutputRecord(
-                "elem",
-                {"eta": str(args.eta), "n": n, "np": np_,
-                 "tau": args.tau, "phi": args.phi, "psi": args.psi},
-                value.real, value.imag,
-            ))
-    _emit(records, args.format, sys.stdout)
+
+    def records():  # one at a time, so memory stays flat however wide the ranges
+        for n in args.n:
+            for np_ in args.np:
+                value = matrix_element(args.eta, n, np_, g)
+                yield OutputRecord(
+                    "elem",
+                    {"eta": str(args.eta), "n": n, "np": np_,
+                     "tau": args.tau, "phi": args.phi, "psi": args.psi},
+                    value.real, value.imag,
+                )
+
+    _emit(records(), args.format, sys.stdout)
     return 0
 
 
@@ -200,9 +197,8 @@ def _cmd_verify(args) -> int:
         tol = args.tol if args.tol is not None else res.tol
         passed = res.measured <= tol
         all_passed &= passed
-        inputs = {"suite": res.suite, "check": res.name, "tol": tol,
-                  "passed": passed}
-        inputs.update({key: _jsonable(val) for key, val in res.inputs.items()})
+        inputs = {"suite": res.suite, "check": res.name, "tol": tol, "passed": passed,
+                  **res.inputs}
         records.append(OutputRecord("verify", inputs, res.measured, 0.0,
                                     0.0, res.measured))
     _emit(records, args.format, sys.stdout)
@@ -210,12 +206,6 @@ def _cmd_verify(args) -> int:
         print("verify: one or more checks failed", file=sys.stderr)
         return 1
     return 0
-
-
-def _jsonable(value):
-    if isinstance(value, tuple):
-        return list(value)
-    return value
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -231,8 +221,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("elem", help="matrix elements in the chart parametrization")
     p.add_argument("--eta", type=_eta_arg, required=True)
-    p.add_argument("--n", type=_range_arg, default=[0])
-    p.add_argument("--np", type=_range_arg, default=[0])
+    p.add_argument("--n", type=_range_arg, default=range(1))
+    p.add_argument("--np", type=_range_arg, default=range(1))
     p.add_argument("--tau", type=float, default=0.0)
     p.add_argument("--phi", type=float, default=0.0)
     p.add_argument("--psi", type=float, default=0.0)

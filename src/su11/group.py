@@ -90,9 +90,12 @@ class CartanCoords:
             )
         if self.tau < 0.0:
             raise InvalidParams(f"tau must be >= 0, got {self.tau}")
+        phi = _wrap_phi(float(self.phi))
+        # Shift psi by the same 2*pi turns as phi, so alpha and beta keep their sign.
+        turns = round((self.phi - phi) / TWO_PI)
         object.__setattr__(self, "tau", float(self.tau))
-        object.__setattr__(self, "phi", _wrap_phi(float(self.phi)))
-        object.__setattr__(self, "psi", _wrap_psi(float(self.psi)))
+        object.__setattr__(self, "phi", phi)
+        object.__setattr__(self, "psi", _wrap_psi(float(self.psi) - TWO_PI * turns))
 
     @property
     def x(self) -> float:

@@ -105,10 +105,6 @@ class QuadratureRule:
     weights: np.ndarray
     weight_exponents: tuple
 
-    def integrate(self, f) -> float:
-        """Apply the rule to a callable evaluated at the nodes."""
-        return float(np.dot(self.weights, f(self.nodes)))
-
 
 @lru_cache(maxsize=None)
 def gauss_jacobi(order: int, a: float, b: float) -> QuadratureRule:
@@ -166,30 +162,3 @@ def gauss_jacobi(order: int, a: float, b: float) -> QuadratureRule:
 def quadrature_order_for_degree(degree: int) -> int:
     """Order exact for a polynomial integrand of the given degree, plus guard."""
     return (degree + 2) // 2 + 2
-
-
-def gr_7391(a: float, b: float, m: int) -> float:
-    """Closed form of the diagonal Jacobi norm against the shifted weight.
-
-    Returns the value of
-
-        integral_{-1}^{1} (1-x)^a (1+x)^{b-1} [P_m^{(a, b)}(x)]^2 dx
-            = 2^{a+b} / b * Gamma(a+m+1) Gamma(b+m+1) / (m! Gamma(a+b+m+1)),
-
-    valid for a > -1 and b > 0.  This is what the diagonal orthogonality
-    integrals collapse to.
-    """
-    if a <= -1.0:
-        raise InvalidParams(f"a must exceed -1, got {a}")
-    if b <= 0.0:
-        raise InvalidParams(f"b must be positive, got {b}")
-    if m < 0:
-        raise InvalidParams(f"m must be >= 0, got {m}")
-    return math.exp(
-        (a + b) * math.log(2.0)
-        - math.log(b)
-        + math.lgamma(a + m + 1.0)
-        + math.lgamma(b + m + 1.0)
-        - math.lgamma(m + 1.0)
-        - math.lgamma(a + b + m + 1.0)
-    )

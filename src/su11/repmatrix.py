@@ -49,30 +49,6 @@ from .halfint import RepLabel, as_rep_label
 from .jacobi import jacobi_sequence, log_poch_ratio
 
 
-@dataclass(frozen=True)
-class IndexPair:
-    """An ordered index pair (n, n') with its min/max bookkeeping."""
-
-    n: int
-    n_prime: int
-
-    def __post_init__(self) -> None:
-        if self.n < 0 or self.n_prime < 0:
-            raise InvalidParams("basis indices must be >= 0")
-
-    @property
-    def n_less(self) -> int:
-        return min(self.n, self.n_prime)
-
-    @property
-    def n_greater(self) -> int:
-        return max(self.n, self.n_prime)
-
-    @property
-    def is_n_prime_greater(self) -> bool:
-        return self.n_prime >= self.n
-
-
 def _z_squared(alpha, beta):
     """|z|^2 = |beta|^2 / |alpha|^2, z = beta / conj(alpha), in real arithmetic.
 
@@ -118,20 +94,21 @@ def _assemble(two_eta: int, n_less, offset, upper, alpha, beta, jac):
 def matrix_element(eta, n: int, n_prime: int, g: GroupElement) -> complex:
     """Matrix element U_{n n'}(g) in the algebraic (alpha, beta) form."""
     label = as_rep_label(eta)
-    pair = IndexPair(n, n_prime)
-    m, d = pair.n_less, pair.n_greater - pair.n_less
+    m, d = min(n, n_prime), abs(n_prime - n)
+    if m < 0:
+        raise InvalidParams("basis indices must be >= 0")
     xarg = 1.0 - 2.0 * _z_squared(g.alpha, g.beta)
     jac = jacobi_sequence(float(d), float(label.two_eta - 1), m, xarg)[-1]
-    return complex(_assemble(label.two_eta, m, d, pair.is_n_prime_greater,
-                             g.alpha, g.beta, jac))
+    return complex(_assemble(label.two_eta, m, d, n_prime >= n, g.alpha, g.beta, jac))
 
 
 def matrix_element_cartan(eta, n: int, n_prime: int, c: CartanCoords) -> complex:
     """Matrix element in the chart form: explicit magnitude times phases."""
     label = as_rep_label(eta)
     te = label.two_eta
-    pair = IndexPair(n, n_prime)
-    m, big = pair.n_less, pair.n_greater
+    m, big = min(n, n_prime), max(n, n_prime)
+    if m < 0:
+        raise InvalidParams("basis indices must be >= 0")
     jac = jacobi_sequence(float(big - m), float(te - 1), m, c.x)[-1]
     pref = math.exp(0.5 * log_poch_ratio(te, big, m))
     # 1 - x = 2 tanh^2(tau/2) and 1 + x = 2 sech^2(tau/2), taken from tau:

@@ -16,7 +16,7 @@ import cmath
 import math
 from dataclasses import dataclass
 
-from .characters import abel_trace, abel_trace_closed_form, character_compact
+from .characters import abel_trace, character_compact
 from .errors import InvalidDamping, InvalidParams
 from .halfint import HalfInteger, RepLabel, as_rep_label
 
@@ -99,16 +99,3 @@ def abel_character_sum_closed_form(eta1, eta2, theta: float, r: float) -> comple
         raise InvalidDamping(f"damping must lie in (0, 1], got {r}")
     lead = character_compact(RepLabel(HalfInteger(l1.two_eta + l2.two_eta)), theta)
     return lead / (1.0 - r * cmath.exp(-1j * theta))
-
-
-def verify_expansion_identity(theta: float) -> float:
-    """Residual |1/sin(theta/2) - 2i exp(-i theta/2) / (1 - exp(-i theta))|.
-
-    The right-hand side is the Abel limit of the geometric expansion of
-    1/sin(theta/2); the two expressions agree identically, so the residual
-    is pure round-off.
-    """
-    # exp(-i theta) / (1 - exp(-i theta)) at eta = 1; it raises SingularAngle
-    # where sin(theta/2) vanishes.
-    rhs = 2j * cmath.exp(0.5j * theta) * abel_trace_closed_form("1", theta, 1.0)
-    return abs(1.0 / math.sin(0.5 * theta) - rhs)

@@ -21,6 +21,7 @@ from su11 import (
     character,
     character_cartan,
     character_compact,
+    character_product,
     compact_element,
     damped_trace_sum,
     from_cartan,
@@ -29,6 +30,7 @@ from su11 import (
     to_cartan,
     trace_partial_sum,
 )
+from su11.verify import verify_expansion_identity
 
 
 def random_element(rng, tau_max=2.5):
@@ -270,6 +272,21 @@ def test_abel_trace_validation():
         with pytest.raises(SingularAngle):
             abel_trace_closed_form("1", theta, 1.0)
     assert abel_trace_closed_form("1", 0.0, 0.5) == pytest.approx(2.0, rel=1e-15)
+
+
+@pytest.mark.parametrize("theta", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("call", [
+    lambda theta: character_compact("1", theta),
+    lambda theta: character_product("1", "3/2", theta),
+    lambda theta: verify_expansion_identity(theta),
+    lambda theta: abel_trace("1", theta, 0.5, 10),
+    lambda theta: abel_trace_closed_form("1", theta, 0.5),
+    lambda theta: abel_trace_closed_form("1", theta, 1.0),
+], ids=["character_compact", "character_product", "verify_expansion_identity",
+        "abel_trace", "abel_trace_closed_form", "abel_trace_closed_form_limit"])
+def test_non_finite_angle_is_refused(call, theta):
+    with pytest.raises(UnsupportedClass):
+        call(theta)
 
 
 def test_geometric_phase_identity():

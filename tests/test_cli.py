@@ -1,10 +1,15 @@
 """CLI surface: records, schemas, exit codes and determinism."""
+import csv
 import json
 import math
 import subprocess
 import sys
+import time
 
 import pytest
+
+from su11 import from_cartan, matrix_element
+from su11.cli import build_parser
 
 
 def run_cli(*args):
@@ -29,13 +34,28 @@ def test_elem_identity_record():
 
 
 def test_elem_range_cardinality():
-    proc = run_cli("elem", "--eta", "3/2", "--n", "0..4", "--np", "0..4",
-                   "--tau", "0.7", "--phi", "1", "--psi", "-0.5", "--format", "json")
+    args = ("elem", "--eta", "3/2", "--n", "0..4", "--np", "0..4",
+            "--tau", "0.7", "--phi", "1", "--psi", "-0.5")
+    proc = run_cli(*args, "--format", "json")
     assert proc.returncode == 0
     recs = records_of(proc)
-    assert len(recs) == 25
-    keys = {(r["inputs"]["n"], r["inputs"]["np"]) for r in recs}
-    assert len(keys) == 25
+    # one record per pair, in row-major order, each the scalar matrix element
+    pairs = [(n, np_) for n in range(5) for np_ in range(5)]
+    assert [(r["inputs"]["n"], r["inputs"]["np"]) for r in recs] == pairs
+    g = from_cartan(0.7, 1.0, -0.5)
+    assert [complex(r["value_re"], r["value_im"]) for r in recs] == [
+        matrix_element("3/2", n, np_, g) for n, np_ in pairs]
+    rows = list(csv.reader(run_cli(*args, "--format", "csv").stdout.splitlines()))
+    assert [(json.loads(row[1]), float(row[2]), float(row[3])) for row in rows[1:]] == [
+        (rec["inputs"], rec["value_re"], rec["value_im"]) for rec in recs]
+
+
+def test_elem_index_range_is_lazy():
+    start = time.perf_counter()
+    args = build_parser().parse_args(["elem", "--eta", "1", "--n", "0..1000000000"])
+    assert time.perf_counter() - start < 0.1
+    assert len(args.n) == 10**9 + 1
+    assert list(args.np) == [0]
 
 
 def test_elem_rejects_bad_label():
@@ -140,6 +160,31 @@ def test_verify_single_suite_passes():
     assert proc.returncode == 0
     recs = records_of(proc)
     assert recs and all(r["inputs"]["passed"] for r in recs)
+
+
+VERIFY_RECORDS = [
+    ("ortho", "quadrature_zeroth_moment", 1e-13), ("ortho", "diagonal_norm_closed_form", 1e-12),
+    ("ortho", "diagonal_sweep", 1e-10), ("ortho", "cross_label_vanishing", 1e-12),
+    ("ortho", "unselected_exact_zero", 0.0), ("ortho", "monte_carlo_spot", 1.0),
+    *[("unitary", f"{kind}_eta_{eta}", 1e-8)
+      for eta in ("1", "3/2", "2") for kind in ("unitarity", "homomorphism")],
+    ("unitary", "cross_form_consistency", 1e-11),
+    ("character", "chart_form_consistency", 1e-11), ("character", "hyperbolic_abel_limit", 1e-3),
+    ("character", "elliptic_abel_residual", 1e-2), ("character", "abel_limit_closed_form", 1e-13),
+    ("character", "class_function", 1e-10),
+    ("tensor", "spectrum_exact", 0.0), ("tensor", "product_closed_form", 1e-13),
+    ("tensor", "abel_certification", 1e-2), ("tensor", "abel_limit_equals_product", 1e-13),
+    ("tensor", "expansion_identity", 1e-13),
+]
+
+
+def test_verify_all_emits_the_pinned_records():
+    proc = run_cli("verify", "--suite", "all")
+    assert proc.returncode == 0
+    recs = records_of(proc)
+    assert [(r["inputs"]["suite"], r["inputs"]["check"], r["inputs"]["tol"])
+            for r in recs] == VERIFY_RECORDS
+    assert all(r["inputs"]["passed"] for r in recs)
 
 
 def test_verify_zero_samples_skips_monte_carlo():

@@ -12,13 +12,13 @@ from su11 import (
     as_rep_label,
     formal_dimension,
     gauss_jacobi,
-    gr_7391,
     jacobi_sequence,
     monte_carlo_haar,
     orthogonality_integral,
     quadrature_order_for_degree,
     radial_integral,
 )
+from su11.verify import gr_7391
 
 ETAS = ["1", "3/2", "2", "5/2", "3"]
 

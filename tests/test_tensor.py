@@ -19,8 +19,8 @@ from su11 import (
     character_product,
     decompose,
     multiplicity,
-    verify_expansion_identity,
 )
+from su11.verify import verify_expansion_identity
 
 LABELS = [as_rep_label(t / 2.0) for t in range(2, 9)]  # 1 ... 4 in half steps
 
