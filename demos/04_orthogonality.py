@@ -3,9 +3,9 @@
 
 The invariant integral of U^{eta1}_{m m'} conj(U^{eta2}_{n n'}) equals
 d_eta * delta_{eta1 eta2} delta_{m n} delta_{m' n'} with d_eta = 2/(2 eta - 1).
-The angular integrals are exact selection rules, the radial one is an exact
-Gauss-Jacobi quadrature, and a seeded Monte Carlo over the raw 3-D measure
-cross-checks the whole pipeline.
+The angular integrals are exact selection rules, the radial one is a
+polynomial integrated exactly by a Gauss-Legendre rule, and a seeded Monte
+Carlo over the raw 3-D measure cross-checks the whole pipeline.
 """
 from su11 import (
     OrthoRequest,

@@ -45,13 +45,7 @@ from .group import (
     to_cartan,
 )
 from .halfint import HalfInteger, RepLabel, as_rep_label
-from .jacobi import (
-    QuadratureRule,
-    gauss_jacobi,
-    jacobi_sequence,
-    log_poch_ratio,
-    quadrature_order_for_degree,
-)
+from .jacobi import gauss_legendre, jacobi_sequence, log_poch_ratio
 from .orthogonality import (
     MonteCarloEstimate,
     OrthoRequest,
@@ -104,7 +98,6 @@ __all__ = [
     "MonteCarloEstimate",
     "OrthoRequest",
     "OrthoResult",
-    "QuadratureRule",
     "RepLabel",
     "SingularAngle",
     "Su11Error",
@@ -125,7 +118,7 @@ __all__ = [
     "disk_point",
     "formal_dimension",
     "from_cartan",
-    "gauss_jacobi",
+    "gauss_legendre",
     "haar_density",
     "homomorphism_defect",
     "inverse",
@@ -138,7 +131,6 @@ __all__ = [
     "multiplicity",
     "multiply",
     "orthogonality_integral",
-    "quadrature_order_for_degree",
     "radial_integral",
     "to_cartan",
     "trace_partial_sum",

@@ -52,10 +52,10 @@ class CharacterValue:
     regime: str
 
 
-def character(eta, g: GroupElement, boundary_tol: float = BOUNDARY_TOL) -> CharacterValue:
+def character(eta, g: GroupElement) -> CharacterValue:
     """Closed-form character at g, branching on the class of Re(alpha).
 
-    Raises BoundaryConjugacyClass within ``boundary_tol`` of (Re alpha)^2 = 1
+    Raises BoundaryConjugacyClass within ``BOUNDARY_TOL`` of (Re alpha)^2 = 1
     (the parabolic classes, where the formula is genuinely singular) and
     UnsupportedClass for Re(alpha) < -1, where the sign of the square root
     is not pinned down by the elliptic-side convention.
@@ -63,7 +63,7 @@ def character(eta, g: GroupElement, boundary_tol: float = BOUNDARY_TOL) -> Chara
     label = as_rep_label(eta)
     u = g.alpha.real
     disc = u * u - 1.0
-    if abs(disc) <= boundary_tol:
+    if abs(disc) <= BOUNDARY_TOL:
         raise BoundaryConjugacyClass(f"(Re alpha)^2 - 1 = {disc!r} is too close to 0")
     if u < -1.0:
         raise UnsupportedClass("characters with Re(alpha) < -1 are not implemented")
@@ -76,8 +76,7 @@ def character(eta, g: GroupElement, boundary_tol: float = BOUNDARY_TOL) -> Chara
     return CharacterValue(value, ELLIPTIC)
 
 
-def character_cartan(eta, x: float, phi: float, psi: float,
-                     boundary_tol: float = BOUNDARY_TOL) -> CharacterValue:
+def character_cartan(eta, x: float, phi: float, psi: float) -> CharacterValue:
     """Character in chart coordinates; phi and psi enter only through phi + psi."""
     label = as_rep_label(eta)
     if not -1.0 < x <= 1.0:
@@ -85,7 +84,7 @@ def character_cartan(eta, x: float, phi: float, psi: float,
     big_phi = phi + psi
     delta = math.cos(big_phi) - x
     # delta / (1 + x) equals (Re alpha)^2 - 1, so scale the boundary window by 1 + x.
-    if abs(delta) <= boundary_tol * (1.0 + x):
+    if abs(delta) <= BOUNDARY_TOL * (1.0 + x):
         raise BoundaryConjugacyClass(f"cos(phi + psi) - x = {delta!r} is too close to 0")
     half = math.sqrt(2.0) * math.cos(0.5 * big_phi)
     scale = 0.5 * (1.0 + x) ** (0.5 * label.two_eta)

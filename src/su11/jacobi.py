@@ -1,18 +1,17 @@
-"""Jacobi polynomials, log-Pochhammer ratios and Gauss-Jacobi quadrature.
+"""Jacobi polynomials, log-Pochhammer ratios and Gauss-Legendre quadrature.
 
 This is the analytic kernel the representation-theoretic modules sit on:
 matrix elements carry a Jacobi polynomial in their radial variable, their
 normalization is a square root of factorial/Gamma ratios, and every radial
-integral reduces to a polynomial against the weight (1-x)^a (1+x)^b, which
-Gauss-Jacobi quadrature evaluates exactly.
+integral reduces to (1-x)^a (1+x)^b times a polynomial with integers
+a, b >= 0.  That whole integrand is a polynomial, so one Gauss-Legendre rule
+of the right order evaluates it exactly.
 
-Everything here is a pure function; :class:`QuadratureRule` is frozen after
-construction, so concurrent use needs no locking.
+Everything here is a pure function; the cached arrays are read-only, so
+concurrent use needs no locking.
 """
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -97,68 +96,32 @@ def log_poch_ratio(two_eta: int, n, m):
     return partial[n] - partial[m]
 
 
-@dataclass(frozen=True)
-class QuadratureRule:
-    """Nodes and weights integrating (1-x)^a (1+x)^b * polynomial on [-1, 1]."""
-
-    nodes: np.ndarray
-    weights: np.ndarray
-    weight_exponents: tuple
-
-
 @lru_cache(maxsize=None)
-def gauss_jacobi(order: int, a: float, b: float) -> QuadratureRule:
-    """Gauss-Jacobi rule of the given order for the weight (1-x)^a (1+x)^b.
+def gauss_legendre(order: int) -> tuple[np.ndarray, np.ndarray]:
+    """Gauss-Legendre nodes and weights on [-1, 1], exact for degree <= 2*order - 1.
 
-    Built the Golub-Welsch way: the monic-recurrence coefficients form a
-    symmetric tridiagonal matrix whose eigenvalues are the nodes and whose
-    first eigenvector components give the weights.  Exact (up to round-off)
-    for polynomials of degree <= 2*order - 1.
+    Built the Golub-Welsch way: the Legendre Jacobi matrix has a zero
+    diagonal and off-diagonal k / sqrt(4k^2 - 1); its eigenvalues are the
+    nodes and twice the squared first eigenvector components the weights.
+    The weight function is 1, so a caller integrating against
+    (1-x)^a (1+x)^b puts those factors in its integrand.
 
     Parameters
     ----------
     order : int
         Number of nodes, >= 1.
-    a, b : float
-        Weight exponents, each > -1.
 
     Returns
     -------
-    QuadratureRule
+    tuple of ndarray
+        Read-only ``(nodes, weights)``, nodes ascending.
     """
     if order < 1:
         raise InvalidParams(f"order must be >= 1, got {order}")
-    if a <= -1.0 or b <= -1.0:
-        raise InvalidParams(f"weight exponents must exceed -1, got ({a}, {b})")
-    apb = a + b
-    diag = np.empty(order)
-    offsq = np.empty(order)  # squared off-diagonal terms; offsq[0] holds the 0th moment
-    diag[0] = (b - a) / (apb + 2.0)
-    offsq[0] = 2.0 ** (apb + 1.0) * math.exp(
-        math.lgamma(a + 1.0) + math.lgamma(b + 1.0) - math.lgamma(apb + 2.0)
-    )
-    if order > 1:
-        # i = 1 written with the (1 + a + b) factor cancelled, valid for a + b -> -1.
-        offsq[1] = 4.0 * (a + 1.0) * (b + 1.0) / ((apb + 2.0) ** 2 * (apb + 3.0))
-    for i in range(1, order):
-        two_i = 2.0 * i + apb
-        diag[i] = (b * b - a * a) / (two_i * (two_i + 2.0))
-        if i >= 2:
-            offsq[i] = (
-                4.0 * i * (i + a) * (i + b) * (i + apb)
-                / (two_i * two_i * (two_i * two_i - 1.0))
-            )
-    matrix = np.diag(diag)
-    if order > 1:
-        off = np.sqrt(offsq[1:])
-        matrix += np.diag(off, 1) + np.diag(off, -1)
-    nodes, vectors = np.linalg.eigh(matrix)
-    weights = offsq[0] * vectors[0, :] ** 2
+    k = np.arange(1.0, order)
+    off = k / np.sqrt(4.0 * k * k - 1.0)
+    nodes, vectors = np.linalg.eigh(np.diag(off, 1) + np.diag(off, -1))
+    weights = 2.0 * vectors[0, :] ** 2
     nodes.setflags(write=False)
     weights.setflags(write=False)
-    return QuadratureRule(nodes, weights, (a, b))
-
-
-def quadrature_order_for_degree(degree: int) -> int:
-    """Order exact for a polynomial integrand of the given degree, plus guard."""
-    return (degree + 2) // 2 + 2
+    return nodes, weights

@@ -10,8 +10,9 @@ the left-hand side in three exact stages:
     exactly (an integer comparison on doubled labels; half-odd differences
     are killed by the 4*pi-period angle).
 2.  When the selection passes, the remaining radial integral is a polynomial
-    against the weight (1-x)^{m'-m} (1+x)^{eta1+eta2-2} and is evaluated by a
-    Gauss-Jacobi rule sized to be exact for it.
+    times (1-x)^{m'-m} (1+x)^{eta1+eta2-2}, whose exponents are then
+    non-negative integers; the whole integrand is a polynomial, evaluated
+    exactly by a Gauss-Legendre rule of matching order.
 3.  A seeded Monte Carlo estimate of the raw three-dimensional invariant
     integral provides an independent cross-check that bypasses stage 1.
 
@@ -29,10 +30,11 @@ import numpy as np
 
 from .errors import InvalidParams
 from .halfint import RepLabel, as_rep_label
-from .jacobi import gauss_jacobi, jacobi_sequence, log_poch_ratio, quadrature_order_for_degree
+from .jacobi import gauss_legendre, jacobi_sequence, log_poch_ratio
 from .repmatrix import matrix_element_batch
 
 _MC_CHUNK = 200_000
+_MC_TAU_MAX = 12.0  # boost cutoff of the Monte Carlo box
 
 
 @dataclass(frozen=True)
@@ -50,7 +52,10 @@ class OrthoRequest:
         object.__setattr__(self, "eta1", as_rep_label(self.eta1))
         object.__setattr__(self, "eta2", as_rep_label(self.eta2))
         for name in ("m", "m_prime", "n", "n_prime"):
-            if getattr(self, name) < 0:
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, int):
+                raise InvalidParams(f"index {name} must be an int, got {value!r}")
+            if value < 0:
                 raise InvalidParams(f"index {name} must be >= 0")
 
 
@@ -80,8 +85,11 @@ def radial_integral(req: OrthoRequest) -> float:
     """The surviving 1-D integral, for canonically ordered selected requests.
 
     Computes integral_{-1}^{1} (1-x)^{m'-m} (1+x)^{eta1+eta2-2}
-    P_m^{(m'-m, 2 eta1 - 1)}(x) P_n^{(m'-m, 2 eta2 - 1)}(x) dx by a rule
-    exact for the degree m + n polynomial part.
+    P_m^{(m'-m, 2 eta1 - 1)}(x) P_n^{(m'-m, 2 eta2 - 1)}(x) dx.  The selection
+    makes both weight exponents non-negative integers, so the integrand is a
+    polynomial of degree a + b + m + n and a Gauss-Legendre rule of order
+    (a + b + m + n) // 2 + 1 integrates it exactly.  Raises InvalidParams
+    where the Jacobi factors overflow (for example at eta = 1, m = a = 300).
     """
     if not angular_selection(req):
         raise InvalidParams("radial_integral requires a request passing angular selection")
@@ -90,10 +98,15 @@ def radial_integral(req: OrthoRequest) -> float:
     t1, t2 = req.eta1.two_eta, req.eta2.two_eta
     a = req.m_prime - req.m
     b = (t1 + t2) // 2 - 2
-    rule = gauss_jacobi(quadrature_order_for_degree(req.m + req.n), float(a), float(b))
-    p1 = jacobi_sequence(float(a), float(t1 - 1), req.m, rule.nodes)[-1]
-    p2 = jacobi_sequence(float(a), float(t2 - 1), req.n, rule.nodes)[-1]
-    return float(np.dot(rule.weights, p1 * p2))
+    x, w = gauss_legendre((a + b + req.m + req.n) // 2 + 1)
+    with np.errstate(over="ignore", invalid="ignore"):
+        p1 = jacobi_sequence(float(a), float(t1 - 1), req.m, x)[-1]
+        p2 = jacobi_sequence(float(a), float(t2 - 1), req.n, x)[-1]
+        value = float(np.dot(w * (1.0 - x) ** a * (1.0 + x) ** b, p1 * p2))
+    if not math.isfinite(value):
+        raise InvalidParams(f"the Jacobi factors of ({req.m}, {req.m_prime}, {req.n}, "
+                            f"{req.n_prime}) overflow double precision")
+    return value
 
 
 def orthogonality_integral(req: OrthoRequest) -> OrthoResult:
@@ -127,17 +140,16 @@ class MonteCarloEstimate:
     seed: int
 
 
-def monte_carlo_haar(req: OrthoRequest, samples: int, seed: int,
-                     tau_max: float = 12.0) -> MonteCarloEstimate:
+def monte_carlo_haar(req: OrthoRequest, samples: int, seed: int) -> MonteCarloEstimate:
     """Monte Carlo estimate of the raw 3-D invariant integral.
 
-    Samples (tau, phi, psi) uniformly on [0, tau_max] x [0, 2*pi) x
-    [-2*pi, 2*pi) and weights by the measure density; the box volume times
-    the density leaves an overall factor tau_max.  The boost range is
-    truncated: the integrand decays like exp(-tau) or faster, so the tail
-    beyond tau_max = 12 is orders of magnitude below the sampling noise at
-    any realistic sample count.  Fixed seed and fixed chunking make the
-    estimate bit-for-bit reproducible.
+    Samples (tau, phi, psi) uniformly on [0, 12] x [0, 2*pi) x [-2*pi, 2*pi)
+    and weights by the measure density; the box volume times the density
+    leaves an overall factor 12.  The boost range is truncated: the
+    integrand decays like exp(-tau) or faster, so the tail beyond tau = 12
+    is orders of magnitude below the sampling noise at any realistic sample
+    count.  Fixed seed and fixed chunking make the estimate bit-for-bit
+    reproducible.
     """
     if samples < 1:
         raise InvalidParams(f"samples must be >= 1, got {samples}")
@@ -147,7 +159,7 @@ def monte_carlo_haar(req: OrthoRequest, samples: int, seed: int,
     remaining = samples
     while remaining > 0:
         count = min(_MC_CHUNK, remaining)
-        tau = rng.uniform(0.0, tau_max, count)
+        tau = rng.uniform(0.0, _MC_TAU_MAX, count)
         phi = rng.uniform(0.0, 2.0 * math.pi, count)
         psi = rng.uniform(-2.0 * math.pi, 2.0 * math.pi, count)
         alpha = np.cosh(0.5 * tau) * np.exp(0.5j * (phi + psi))
@@ -160,5 +172,6 @@ def monte_carlo_haar(req: OrthoRequest, samples: int, seed: int,
         remaining -= count
     mean = total / samples
     variance = max(total_sq / samples - mean * mean, 0.0) / samples
-    return MonteCarloEstimate(tau_max * mean, tau_max * math.sqrt(variance), samples, seed)
+    return MonteCarloEstimate(_MC_TAU_MAX * mean, _MC_TAU_MAX * math.sqrt(variance),
+                              samples, seed)
 

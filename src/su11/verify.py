@@ -27,13 +27,14 @@ from .characters import (
 )
 from .errors import InvalidParams
 from .group import from_cartan, inverse, multiply, to_cartan
-from .halfint import as_rep_label
-from .jacobi import gauss_jacobi, jacobi_sequence, quadrature_order_for_degree
+from .halfint import HalfInteger, as_rep_label
+from .jacobi import gauss_legendre
 from .orthogonality import (
     OrthoRequest,
     formal_dimension,
     monte_carlo_haar,
     orthogonality_integral,
+    radial_integral,
 )
 from .repmatrix import (
     homomorphism_defect,
@@ -125,27 +126,31 @@ def verify_expansion_identity(theta: float) -> float:
 
 
 def quadrature_zeroth_moment(seed: int, max_order: int) -> CheckResult:
+    """Worst relative error of sum w (1-x)^a (1+x)^b against the Beta integral
+    2^{a+b+1} a! b! / (a+b+1)!, for a random order q <= max_order and integers
+    a, b >= 0 with a + b <= 2q - 1, the weights the radial integrals use."""
     worst = 0.0
     rng = np.random.default_rng(seed)
     for _ in range(20):
         order = int(rng.integers(1, max_order + 1))
-        a = float(rng.uniform(-0.9, 6.0))
-        b = float(rng.uniform(-0.9, 6.0))
-        rule = gauss_jacobi(order, a, b)
-        moment = 2.0 ** (a + b + 1.0) * math.exp(
-            math.lgamma(a + 1.0) + math.lgamma(b + 1.0) - math.lgamma(a + b + 2.0)
-        )
-        worst = max(worst, abs(float(np.sum(rule.weights)) - moment) / moment)
+        total = int(rng.integers(0, 2 * order))
+        a = int(rng.integers(0, total + 1))
+        b = total - a
+        x, w = gauss_legendre(order)
+        moment = (2.0 ** (total + 1) * math.factorial(a) * math.factorial(b)
+                  / math.factorial(total + 1))
+        got = float(np.sum(w * (1.0 - x) ** a * (1.0 + x) ** b))
+        worst = max(worst, abs(got - moment) / moment)
     return _check("ortho", "quadrature_zeroth_moment", worst, 1e-13, draws=20)
 
 
 def diagonal_norm_closed_form() -> CheckResult:
+    """gr_7391(a, b, m) against radial_integral at 2 eta = b + 1 and m' = m + a."""
     worst = 0.0
     for a, b, m in product(range(7), range(1, 9), range(11)):
         closed = gr_7391(float(a), float(b), m)
-        rule = gauss_jacobi(quadrature_order_for_degree(2 * m), float(a), float(b - 1))
-        poly = jacobi_sequence(float(a), float(b), m, rule.nodes)[-1]
-        direct = float(np.dot(rule.weights, poly * poly))
+        eta = HalfInteger(b + 1)
+        direct = radial_integral(OrthoRequest(eta, eta, m, m + a, m, m + a))
         worst = max(worst, abs(direct - closed) / abs(closed))
     return _check("ortho", "diagonal_norm_closed_form", worst, 1e-12,
                   a_max=6, b_max=8, m_max=10)

@@ -11,11 +11,10 @@ from su11 import (
     angular_selection,
     as_rep_label,
     formal_dimension,
-    gauss_jacobi,
+    gauss_legendre,
     jacobi_sequence,
     monte_carlo_haar,
     orthogonality_integral,
-    quadrature_order_for_degree,
     radial_integral,
 )
 from su11.verify import gr_7391
@@ -111,6 +110,13 @@ def test_pipeline_unselected_is_exact_zero():
         assert not res.angular_selected
 
 
+def weighted_integral(a, b, degree, f):
+    """integral (1-x)^a (1+x)^b f(x) dx for integers a, b >= 0 and a polynomial
+    f of the given degree, by a Legendre rule exact for the whole integrand."""
+    x, w = gauss_legendre((a + b + degree) // 2 + 1)
+    return float(np.dot(w * (1.0 - x) ** a * (1.0 + x) ** b, f(x)))
+
+
 def test_vanishing_family_from_degree_orthogonality():
     # integral (1-x)^a (1+x)^{b+s-1} P_m^{(a, b+2s)} P_{m+s}^{(a, b)} dx = 0:
     # the lower-degree factor times (1+x)^{s-1} has degree m+s-1 < m+s.
@@ -118,33 +124,58 @@ def test_vanishing_family_from_degree_orthogonality():
         for a in range(0, 6):
             for b in range(1, 7):
                 for m in range(0, 7):
-                    order = quadrature_order_for_degree(2 * m + s)
-                    rule = gauss_jacobi(order, float(a), float(b + s - 1))
-                    p1 = jacobi_sequence(float(a), float(b + 2 * s), m, rule.nodes)[-1]
-                    p2 = jacobi_sequence(float(a), float(b), m + s, rule.nodes)[-1]
-                    value = float(np.dot(rule.weights, p1 * p2))
-                    assert abs(value) <= 1e-12
+                    def f(x):
+                        return (jacobi_sequence(float(a), float(b + 2 * s), m, x)[-1]
+                                * jacobi_sequence(float(a), float(b), m + s, x)[-1])
+                    assert abs(weighted_integral(a, b + s - 1, 2 * m + s, f)) <= 1e-12
 
 
 def test_monomials_below_degree_integrate_to_zero():
     for a, b, n in [(0, 1, 4), (2, 3, 6), (1, 2, 9)]:
-        rule = gauss_jacobi(quadrature_order_for_degree(2 * n), float(a), float(b))
-        pn = jacobi_sequence(float(a), float(b), n, rule.nodes)[-1]
         for r in range(n):
-            value = float(np.dot(rule.weights, rule.nodes**r * pn))
-            assert abs(value) <= 1e-11
+            def f(x):
+                return x**r * jacobi_sequence(float(a), float(b), n, x)[-1]
+            assert abs(weighted_integral(a, b, n + r, f)) <= 1e-11
 
 
 def test_radial_quadrature_order_stability():
     # doubling the order leaves the (exactly integrated) value unchanged
     req = OrthoRequest("2", "2", 3, 6, 3, 6)
     base = radial_integral(req)
-    t = as_rep_label("2").two_eta
-    a = 3.0
-    rule = gauss_jacobi(2 * quadrature_order_for_degree(6), a, float(t - 2))
-    p1 = jacobi_sequence(a, float(t - 1), 3, rule.nodes)[-1]
-    doubled = float(np.dot(rule.weights, p1 * p1))
+    x, w = gauss_legendre(2 * ((3 + 2 + 6) // 2 + 1))
+    p1 = jacobi_sequence(3.0, 3.0, 3, x)[-1]
+    doubled = float(np.dot(w * (1.0 - x) ** 3 * (1.0 + x) ** 2, p1 * p1))
     assert doubled == pytest.approx(base, rel=1e-13)
+
+
+def test_large_index_integrals():
+    # Indices in the hundreds and offsets m' - m up to 100: the Jacobi factors
+    # reach ~1e72 near x = 1, so the rule's weights need relative accuracy.
+    for eta in ("1", "3/2", "5/2"):
+        target = float(formal_dimension(eta))
+        for m, a in product((0, 7, 50, 100, 150), (0, 1, 30, 70, 100)):
+            for req in (OrthoRequest(eta, eta, m, m + a, m, m + a),
+                        OrthoRequest(eta, eta, m + a, m, m + a, m)):
+                value = orthogonality_integral(req).value
+                assert abs(value - target) <= 1e-10 * target, (eta, m, a)
+    for case in [("5/2", "3/2", 50, 90, 51, 91), ("2", "1", 150, 190, 151, 191),
+                 ("3", "1", 120, 100, 122, 102), ("7/2", "3/2", 80, 115, 82, 117),
+                 ("3", "2", 0, 40, 1, 41)]:
+        res = orthogonality_integral(OrthoRequest(*case))
+        assert res.angular_selected and abs(res.value) <= 1e-10, case
+    # beyond the domain the Jacobi factors overflow: refused, never NaN
+    with pytest.raises(InvalidParams):
+        orthogonality_integral(OrthoRequest("1", "1", 300, 600, 300, 600))
+
+
+def test_request_refuses_non_integer_indices():
+    for index in (1.5, 2.0, True, "1", None):
+        with pytest.raises(InvalidParams):
+            OrthoRequest("1", "1", index, 1, 1, 1)
+        with pytest.raises(InvalidParams):
+            OrthoRequest("1", "1", 1, 1, 1, index)
+    with pytest.raises(InvalidParams):
+        OrthoRequest("1", "1", 1.5, 1.5, 1.5, 1.5)
 
 
 # ----------------------------------------------------------------------

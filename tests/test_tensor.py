@@ -53,15 +53,6 @@ def test_multiplicity_exact_rules():
     assert multiplicity("2", "3/2", "4") == 0   # half-odd offset
 
 
-def test_multiplicity_matches_decompose_everywhere():
-    for l1, l2 in product(LABELS, repeat=2):
-        present = {term.eta3.two_eta for term in decompose(l1, l2, 20).terms}
-        top = l1.two_eta + l2.two_eta + 40
-        for t3 in range(2, top + 1):
-            label3 = RepLabel(HalfInteger(t3))
-            assert multiplicity(l1, l2, label3) == (1 if t3 in present else 0)
-
-
 def test_no_term_below_lowest_weight():
     for l1, l2 in product(LABELS, repeat=2):
         for term in decompose(l1, l2, 8).terms:
