@@ -146,6 +146,84 @@ def test_invalid_exponents_rejected():
         jacobi_sequence(0.0, -1.5, 3, 0.0)
 
 
+def test_non_finite_inputs_rejected():
+    lanes, points = np.arange(4.0), np.linspace(-1.0, 1.0, 5)
+    for bad in (math.inf, -math.inf, math.nan):
+        for a, b, x in [(bad, 1.0, 0.5), (1.0, bad, 0.5), (1.0, 1.0, bad)]:
+            with pytest.raises(InvalidParams):
+                jacobi_sequence(a, b, 3, x)
+        for a, x in [(np.append(lanes, bad), 0.5), (1.0, np.append(points, bad))]:
+            with pytest.raises(InvalidParams):
+                jacobi_sequence(a, 1.0, 3, x)
+    with pytest.raises(InvalidParams):
+        jacobi_sequence(1.0, 1.0, 0, math.inf)
+
+
+def test_non_integer_degree_rejected():
+    for degree in (3.0, 2.5, True, False, "3", None):
+        with pytest.raises(InvalidParams):
+            jacobi_sequence(1.0, 1.0, degree, 0.5)
+    assert jacobi_sequence(1.0, 1.0, np.int64(3), 0.5) == jacobi_sequence(1.0, 1.0, 3, 0.5)
+
+
+def textbook_jacobi_sequence(a, b, max_degree, x):
+    """The recurrence with every coefficient formed inside the per-degree loop."""
+    is_array = isinstance(a, np.ndarray) or isinstance(x, np.ndarray)
+    values = [np.ones(np.broadcast_shapes(np.shape(a), np.shape(x))) if is_array else 1.0]
+    if max_degree == 0:
+        return values
+    apb = a + b
+    values.append((a + 1.0) + (apb + 2.0) * (x - 1.0) / 2.0)
+    for n in range(2, max_degree + 1):
+        c1 = 2.0 * n * (n + apb) * (2.0 * n + apb - 2.0)
+        c2 = 2.0 * n + apb - 1.0
+        c3 = (2.0 * n + apb) * (2.0 * n + apb - 2.0)
+        c4 = a * a - b * b
+        c5 = 2.0 * (n + a - 1.0) * (n + b - 1.0) * (2.0 * n + apb)
+        values.append((c2 * (c3 * x + c4) * values[n - 1] - c5 * values[n - 2]) / c1)
+    return values
+
+
+def assert_same_bits(got, expected):
+    assert len(got) == len(expected)
+    for g, e in zip(got, expected):
+        if isinstance(e, np.ndarray):
+            # A lane that overflows turns NaN; block callers discard those lanes.
+            assert np.array_equal(g, e, equal_nan=True)
+        else:
+            assert type(g) is type(e) and g == e
+
+
+def test_recurrence_matches_textbook_loop_bit_for_bit():
+    rng = np.random.default_rng(8)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for i in range(120):
+            integer = i % 2 == 0
+            b = float(rng.integers(0, 12)) if integer else float(rng.uniform(-0.9, 12.0))
+            # Scalar calls to degree 400 at both endpoints and inside.
+            a = float(rng.integers(0, 300)) if integer else float(rng.uniform(-0.9, 300.0))
+            degree = int(rng.integers(0, 401))
+            for x in (1.0, -1.0, float(rng.uniform(-1.0, 1.0))):
+                assert_same_bits(jacobi_sequence(a, b, degree, x),
+                                 textbook_jacobi_sequence(a, b, degree, x))
+            # Lane calls, one exponent per lane, as blocks make them.
+            size = int(rng.integers(1, 201))
+            lanes = np.arange(float(size)) if integer else rng.uniform(-0.9, 40.0, size)
+            x = (1.0, -1.0, float(rng.uniform(-1.0, 1.0)))[i % 3]
+            assert_same_bits(jacobi_sequence(lanes, b, size - 1, x),
+                             textbook_jacobi_sequence(lanes, b, size - 1, x))
+        # Point calls: Monte Carlo batches (low degree, many points) and
+        # quadrature nodes (degree up to the rule's order).
+        for degree, a, b in [(0, 0.0, 1.0), (1, 2.0, 1.0), (3, 1.0, 4.0), (6, 3.0, 2.0)]:
+            x = 1.0 - 2.0 * rng.uniform(0.0, 1.0, 40_000) ** 2
+            assert_same_bits(jacobi_sequence(a, b, degree, x),
+                             textbook_jacobi_sequence(a, b, degree, x))
+        for degree, a, b in [(5, 0.0, 1.0), (50, 3.0, 4.0), (150, 100.0, 3.0)]:
+            x = np.append(gauss_legendre(degree + 2)[0], [-1.0, 1.0])
+            assert_same_bits(jacobi_sequence(a, b, degree, x),
+                             textbook_jacobi_sequence(a, b, degree, x))
+
+
 # ----------------------------------------------------------------------
 # log_poch_ratio
 # ----------------------------------------------------------------------
