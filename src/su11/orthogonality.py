@@ -15,6 +15,10 @@ the left-hand side in three exact stages:
     exactly by a Gauss-Legendre rule of matching order.
 3.  A seeded Monte Carlo estimate of the raw three-dimensional invariant
     integral provides an independent cross-check that bypasses stage 1.
+    Its integrand is taken in polar form: the chart gives |alpha|^2, |z|^2
+    and the arguments of alpha and beta directly, the algebraic kernel
+    turns them into a sign, a log modulus and a phase per matrix element,
+    and the product with the conjugate is one real exp times one cosine.
 
 Indices with m > m' are mapped to the canonical ordering first; the
 magnitude part of a matrix element is symmetric in the index order and the
@@ -31,7 +35,7 @@ import numpy as np
 from .errors import InvalidParams
 from .halfint import RepLabel, as_rep_label
 from .jacobi import gauss_legendre, jacobi_sequence, log_poch_ratio
-from .repmatrix import matrix_element_batch
+from .repmatrix import matrix_element_polar
 
 _MC_CHUNK = 200_000
 _MC_TAU_MAX = 12.0  # boost cutoff of the Monte Carlo box
@@ -140,6 +144,23 @@ class MonteCarloEstimate:
     seed: int
 
 
+def haar_integrand(req: OrthoRequest, tau, phi, psi):
+    """Re(U^{eta1}_{m m'} conj(U^{eta2}_{n n'})) sinh(tau) at chart points.
+
+    The element at (tau, phi, psi) has alpha = cosh(tau/2) e^{i (phi+psi)/2}
+    and beta = sinh(tau/2) e^{i (phi-psi)/2}, so its polar data are read off
+    the chart without forming either.  With U = s exp(l + i a) for each
+    factor, the integrand is s1 s2 exp(l1 + l2) cos(a1 - a2) sinh(tau): one
+    real exp and one cosine per point, and no complex array.
+    """
+    cosh_half = np.cosh(0.5 * tau)
+    tanh_half = np.tanh(0.5 * tau)
+    polar = (cosh_half * cosh_half, tanh_half * tanh_half, 0.5 * (phi + psi), 0.5 * (phi - psi))
+    s1, l1, a1 = matrix_element_polar(req.eta1, req.m, req.m_prime, *polar)
+    s2, l2, a2 = matrix_element_polar(req.eta2, req.n, req.n_prime, *polar)
+    return s1 * s2 * np.exp(l1 + l2) * np.cos(a1 - a2) * np.sinh(tau)
+
+
 def monte_carlo_haar(req: OrthoRequest, samples: int, seed: int) -> MonteCarloEstimate:
     """Monte Carlo estimate of the raw 3-D invariant integral.
 
@@ -148,11 +169,18 @@ def monte_carlo_haar(req: OrthoRequest, samples: int, seed: int) -> MonteCarloEs
     leaves an overall factor 12.  The boost range is truncated: the
     integrand decays like exp(-tau) or faster, so the tail beyond tau = 12
     is orders of magnitude below the sampling noise at any realistic sample
-    count.  Fixed seed and fixed chunking make the estimate bit-for-bit
+    count.  The integrand is haar_integrand, in polar form.  ``samples``
+    must be an int >= 1 and ``seed`` an int >= 0, else InvalidParams.
+    Fixed seed and fixed chunking make the estimate bit-for-bit
     reproducible.
     """
+    for name, value in (("samples", samples), ("seed", seed)):
+        if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+            raise InvalidParams(f"{name} must be an int, got {value!r}")
     if samples < 1:
         raise InvalidParams(f"samples must be >= 1, got {samples}")
+    if seed < 0:
+        raise InvalidParams(f"seed must be >= 0, got {seed}")
     rng = np.random.default_rng(seed)
     total = 0.0
     total_sq = 0.0
@@ -162,11 +190,7 @@ def monte_carlo_haar(req: OrthoRequest, samples: int, seed: int) -> MonteCarloEs
         tau = rng.uniform(0.0, _MC_TAU_MAX, count)
         phi = rng.uniform(0.0, 2.0 * math.pi, count)
         psi = rng.uniform(-2.0 * math.pi, 2.0 * math.pi, count)
-        alpha = np.cosh(0.5 * tau) * np.exp(0.5j * (phi + psi))
-        beta = np.sinh(0.5 * tau) * np.exp(0.5j * (phi - psi))
-        u1 = matrix_element_batch(req.eta1, req.m, req.m_prime, alpha, beta)
-        u2 = matrix_element_batch(req.eta2, req.n, req.n_prime, alpha, beta)
-        f = (u1 * np.conj(u2)).real * np.sinh(tau)
+        f = haar_integrand(req, tau, phi, psi)
         total += float(np.sum(f))
         total_sq += float(np.sum(f * f))
         remaining -= count
@@ -174,4 +198,3 @@ def monte_carlo_haar(req: OrthoRequest, samples: int, seed: int) -> MonteCarloEs
     variance = max(total_sq / samples - mean * mean, 0.0) / samples
     return MonteCarloEstimate(_MC_TAU_MAX * mean, _MC_TAU_MAX * math.sqrt(variance),
                               samples, seed)
-

@@ -17,7 +17,9 @@ modulus is exp(log_poch / 2 - 2 eta log|alpha| + d log|z| + log|P|) and the
 phase is d arg(gamma) - (2 eta + 2 n_< + d) arg(alpha).  No power can
 overflow before the others balance it, so there is a single regime for
 every index and every tau.  The scalar, batch and block forms all call it,
-and a block entry equals the scalar matrix_element bit for bit.
+and a block entry equals the scalar matrix_element bit for bit.  Its first
+step, the sign, log modulus and phase before the one complex exp, is public
+as matrix_element_polar for callers that need only moduli and phases.
 
 The same element in the hyperbolic-angle chart separates into a magnitude
 in x = 1 - 2 tanh^2(tau/2) and pure phases in phi and psi:
@@ -59,34 +61,43 @@ def _z_squared(alpha, beta):
             / (alpha.real * alpha.real + alpha.imag * alpha.imag))
 
 
-def _assemble(two_eta: int, n_less, offset, upper, alpha, beta, jac):
-    """U_{n n'} from n_<, d = n_> - n_<, the triangle and P_{n_<}^{(d, 2 eta - 1)}.
+def _polar(two_eta: int, n_less, offset, upper, abs2_alpha, z2, arg_alpha, arg_beta, jac):
+    """(sign, log modulus, phase) of U_{n n'} from the element's polar data.
 
-    All arguments broadcast; ``upper`` marks n' >= n, where gamma = -beta.
-    Entries with a zero Jacobi factor, or with d > 0 at beta = 0, are exactly
-    +0j, which keeps the identity block exact and compact elements diagonal.
-    A Jacobi factor beyond double range is refused rather than turned into
-    inf or NaN entries.  The masks are written as arithmetic on booleans, so
-    a scalar entry costs a handful of numpy calls.
+    The element enters as |alpha|^2, |z|^2 and the arguments of alpha and
+    beta; the index data as n_<, d = n_> - n_<, the triangle and the Jacobi
+    factor P_{n_<}^{(d, 2 eta - 1)}.  All arguments broadcast; ``upper`` marks
+    n' >= n, where gamma = -beta.  The sign is 0 for entries with a zero
+    Jacobi factor, or with d > 0 at beta = 0, which keeps the identity block
+    exact and compact elements diagonal.  A Jacobi factor beyond double range
+    is refused rather than turned into inf or NaN entries.  The masks are
+    written as arithmetic on booleans, so a scalar entry costs a handful of
+    numpy calls.
     """
     if not np.isfinite(jac).all():
         raise InvalidParams("the Jacobi factor overflows double precision at these indices")
-    z2 = _z_squared(alpha, beta)
     keep = (jac != 0.0) & ((offset == 0) | (z2 != 0.0))
     # Adding the boolean "== 0" turns a zero into 1, so every log is finite.
     log_mag = (
         0.5 * log_poch_ratio(two_eta, n_less + offset, n_less)
-        - 0.5 * two_eta * np.log(alpha.real * alpha.real + alpha.imag * alpha.imag)
+        - 0.5 * two_eta * np.log(abs2_alpha)
         + offset * (0.5 * np.log(z2 + (z2 == 0.0)))
         + np.log(np.abs(jac + (jac == 0.0)))
     )
     # arg(-beta) = arg(beta) + pi and arg(conj(beta)) = -arg(beta); phases
     # are taken on the element, never per entry.
-    arg_beta = np.arctan2(beta.imag, beta.real)
     arg_gamma = (2 * upper - 1) * arg_beta + np.pi * upper
-    arg_alpha = np.arctan2(alpha.imag, alpha.real)
     angle = offset * arg_gamma - (two_eta + 2 * n_less + offset) * arg_alpha
     sign = (1.0 * (jac > 0.0) - (jac < 0.0)) * keep
+    return sign, log_mag, angle
+
+
+def _assemble(two_eta: int, n_less, offset, upper, alpha, beta, jac):
+    """U_{n n'} as a complex entry: the polar data of (alpha, beta), then one exp."""
+    sign, log_mag, angle = _polar(
+        two_eta, n_less, offset, upper,
+        alpha.real * alpha.real + alpha.imag * alpha.imag, _z_squared(alpha, beta),
+        np.arctan2(alpha.imag, alpha.real), np.arctan2(beta.imag, beta.real), jac)
     # Adding +0.0 turns the -0.0 parts that the sign or underflow leave into +0.0.
     return sign * np.exp(log_mag + 1j * angle) + 0.0
 
@@ -129,12 +140,31 @@ def matrix_element_cartan(eta, n: int, n_prime: int, c: CartanCoords) -> complex
     return sign * magnitude * cmath.exp(1j * angle)
 
 
+def matrix_element_polar(eta, n: int, n_prime: int, abs2_alpha, z2, arg_alpha, arg_beta):
+    """U_{n n'} = sign * exp(log_mag + i angle), returned as (sign, log_mag, angle).
+
+    The element enters through its polar data: |alpha|^2, |z|^2 =
+    |beta|^2 / |alpha|^2, arg(alpha) and arg(beta), as scalars or parallel
+    arrays.  A caller that needs only moduli and phase differences, such as
+    Monte Carlo integration over the group, forms no complex number.  This
+    is the kernel that matrix_element exponentiates, for one index pair; it
+    refuses a Jacobi factor beyond double range with InvalidParams.
+    """
+    label = as_rep_label(eta)
+    m, d = min(n, n_prime), abs(n_prime - n)
+    if m < 0:
+        raise InvalidParams("basis indices must be >= 0")
+    # An overflowing Jacobi factor is refused by the kernel, not warned about.
+    with np.errstate(over="ignore", invalid="ignore"):
+        jac = jacobi_sequence(float(d), float(label.two_eta - 1), m, 1.0 - 2.0 * z2)[-1]
+    return _polar(label.two_eta, m, d, n_prime >= n, abs2_alpha, z2, arg_alpha, arg_beta, jac)
+
+
 def matrix_element_batch(eta, n, n_prime, alpha, beta) -> np.ndarray:
     """Algebraic-form U_{n n'} over arrays of index pairs or of elements.
 
     Either one index pair is evaluated over parallel arrays of (alpha, beta)
-    entries of valid elements, the vectorized workhorse of Monte Carlo
-    integration over the group, or integer arrays n and n' broadcast over a
+    entries of valid elements, or integer arrays n and n' broadcast over a
     single element, as in a truncated block or a diagonal trace.  The Jacobi
     recurrence runs once, with one lane per offset n_> - n_<, and each entry
     over a single element equals matrix_element bit for bit.

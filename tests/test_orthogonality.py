@@ -1,4 +1,5 @@
 """Orthogonality pipeline: selection rules, radial integrals, Monte Carlo."""
+import math
 from fractions import Fraction
 from itertools import product
 
@@ -13,11 +14,13 @@ from su11 import (
     formal_dimension,
     gauss_legendre,
     jacobi_sequence,
+    matrix_element_batch,
     monte_carlo_haar,
     orthogonality_integral,
     radial_integral,
 )
-from su11.verify import gr_7391
+from su11.orthogonality import haar_integrand
+from su11.verify import UNSELECTED, gr_7391, monte_carlo_spot
 
 ETAS = ["1", "3/2", "2", "5/2", "3"]
 
@@ -205,5 +208,59 @@ def test_monte_carlo_deterministic():
 
 
 def test_monte_carlo_validation():
-    with pytest.raises(InvalidParams):
-        monte_carlo_haar(OrthoRequest("1", "1", 0, 0, 0, 0), 0, seed=1)
+    req = OrthoRequest("1", "1", 0, 0, 0, 0)
+    # Zero samples, non-int counts or seeds, and negative seeds are refused.
+    for samples, seed in [(0, 1), (1.0, 1), (2.5, 1), (True, 1), (10, 1.0), (10, True),
+                          (10, -1), (10, "1")]:
+        with pytest.raises(InvalidParams):
+            monte_carlo_haar(req, samples, seed=seed)
+
+
+def _complex_route_integrand(req, tau, phi, psi):
+    """The integrand as complex entries: (alpha, beta), two batch calls, Re(u1 conj u2)."""
+    alpha = np.cosh(0.5 * tau) * np.exp(0.5j * (phi + psi))
+    beta = np.sinh(0.5 * tau) * np.exp(0.5j * (phi - psi))
+    u1 = matrix_element_batch(req.eta1, req.m, req.m_prime, alpha, beta)
+    u2 = matrix_element_batch(req.eta2, req.n, req.n_prime, alpha, beta)
+    return (u1 * np.conj(u2)).real * np.sinh(tau)
+
+
+# Same label, cross label, unselected (both kinds) and m > m'.
+POLAR_CASES = [("1", "1", 0, 0, 0, 0), ("5/2", "5/2", 3, 1, 3, 1), ("2", "1", 0, 0, 1, 1),
+               ("3", "2", 6, 2, 8, 4), ("1", "1", 0, 0, 1, 0), ("1", "3/2", 0, 0, 0, 0),
+               ("1", "1", 0, 3, 0, 2), ("3/2", "3/2", 2, 0, 1, 0)]
+
+
+@pytest.mark.parametrize("case", POLAR_CASES)
+def test_polar_integrand_matches_complex_route(case):
+    req = OrthoRequest(*case)
+    rng = np.random.default_rng(2024)
+    # tau = 0 puts beta (and z^2) at exactly 0; tau = 12 is the box's edge.
+    tau = np.concatenate([[0.0, 0.0, 12.0], rng.uniform(0.0, 12.0, 5000)])
+    phi = rng.uniform(0.0, 2.0 * math.pi, tau.size)
+    psi = rng.uniform(-2.0 * math.pi, 2.0 * math.pi, tau.size)
+    np.testing.assert_allclose(haar_integrand(req, tau, phi, psi),
+                               _complex_route_integrand(req, tau, phi, psi),
+                               rtol=1e-12, atol=1e-14)
+
+
+@pytest.mark.parametrize("case", [POLAR_CASES[1], POLAR_CASES[4]])
+def test_monte_carlo_estimate_matches_complex_route(case):
+    req = OrthoRequest(*case)
+    samples, seed = 50_000, 11
+    rng = np.random.default_rng(seed)
+    tau = rng.uniform(0.0, 12.0, samples)
+    phi = rng.uniform(0.0, 2.0 * math.pi, samples)
+    psi = rng.uniform(-2.0 * math.pi, 2.0 * math.pi, samples)
+    expected = 12.0 * float(np.sum(_complex_route_integrand(req, tau, phi, psi))) / samples
+    assert monte_carlo_haar(req, samples, seed).value == pytest.approx(expected, rel=1e-12)
+
+
+def test_monte_carlo_spot_records_its_false_alarm_rate():
+    one_case = math.erfc(3.0 / math.sqrt(2.0))
+    rec = monte_carlo_spot(UNSELECTED, 2000, seed=5)
+    assert rec.inputs["cases"] == 5
+    assert rec.inputs["false_alarm_rate"] == pytest.approx(1.0 - (1.0 - one_case) ** 5, rel=1e-15)
+    assert rec.inputs["false_alarm_rate"] == pytest.approx(0.0134, abs=5e-5)
+    assert monte_carlo_spot(UNSELECTED[:1], 2000, seed=5).inputs["false_alarm_rate"] \
+        == pytest.approx(one_case, rel=1e-15)

@@ -22,6 +22,7 @@ from su11 import (
     unitarity_defect,
     homomorphism_defect,
 )
+from su11.repmatrix import matrix_element_polar
 
 ETAS = ["1", "3/2", "2", "5/2", "3", "7/2", "4"]
 
@@ -231,6 +232,28 @@ def test_jacobi_overflow_is_refused():
             matrix_element("1", 600, 1300, g)
         with pytest.raises(InvalidParams):
             matrix_element_batch("1", 600, 1300, [g.alpha], [g.beta])
+
+
+def test_polar_form_matches_scalar_and_refuses_overflow():
+    # sign * exp(log_mag + i angle) is the entry, from the element's polar data.
+    rng = np.random.default_rng(17)
+    for _ in range(40):
+        g = from_cartan(rng.uniform(0.0, 12.0), rng.uniform(0.0, 2 * math.pi),
+                        rng.uniform(-2 * math.pi, 2 * math.pi))
+        n, np_ = int(rng.integers(0, 12)), int(rng.integers(0, 12))
+        polar = (abs(g.alpha) ** 2, abs(g.beta) ** 2 / abs(g.alpha) ** 2,
+                 cmath.phase(g.alpha), cmath.phase(g.beta))
+        sign, log_mag, angle = matrix_element_polar("5/2", n, np_, *polar)
+        assert sign * cmath.exp(log_mag + 1j * angle) == pytest.approx(
+            matrix_element("5/2", n, np_, g), rel=1e-12, abs=1e-300)
+    sign, _, _ = matrix_element_polar("1", 0, 3, 1.0, 0.0, 0.0, 0.0)
+    assert sign == 0.0  # off-diagonal at the identity
+    g = from_cartan(0.1, 0.0, 0.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(InvalidParams):
+            matrix_element_polar("1", 600, 1300, abs(g.alpha) ** 2,
+                                 abs(g.beta) ** 2 / abs(g.alpha) ** 2, 0.0, 0.0)
 
 
 def test_large_block_discards_overflowing_lanes():
