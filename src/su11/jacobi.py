@@ -19,6 +19,8 @@ import numpy as np
 
 from .errors import InvalidParams
 
+_FOLD = 1 << 14  # values in one block of a folded table (128 KB of doubles)
+
 
 def _finite(v) -> bool:
     return bool(np.isfinite(v).all()) if isinstance(v, np.ndarray) else math.isfinite(v)
@@ -36,8 +38,10 @@ def jacobi_sequence(a, b: float, max_degree: int, x):
     The recurrence's coefficients are formed before its loop, as tables with
     one row per degree and, for an array ``a``, one column per lane; for a
     scalar ``a`` they become Python floats, so the loop runs on floats.  An
-    array ``x`` is applied per step rather than folded into a table, so no
-    table grows with the number of points.  Each coefficient is the same
+    array ``x`` is folded into the table a block of rows at a time, each
+    block holding at most 16384 values or a single row: quadrature nodes get
+    their whole table at once, and Monte Carlo points one row per block, so
+    no table grows with the number of points.  Each coefficient is the same
     expression as in the textbook per-degree loop, so the values are
     unchanged to the bit.  Forming the tables costs a fixed twenty or so
     small numpy operations a call, which low degrees do not earn back.
@@ -89,16 +93,35 @@ def jacobi_sequence(a, b: float, max_degree: int, x):
     # slower operands, and arrays over the lanes for an array a.
     rows = iter if isinstance(a, np.ndarray) else np.ndarray.tolist
     if isinstance(x, np.ndarray):
-        # Per step: a table with x folded in would grow with the points.
-        c23 = (k2 * (k3 * x + c4) for k2, k3 in zip(rows(c2), rows(c3)))
+        # The lane axes, if any, stay last, so x broadcasts as in one row.
+        shape = c2.shape[:1] + (1,) * (values[0].ndim + 1 - c2.ndim) + c2.shape[1:]
+        c23 = _folded_rows(c2.reshape(shape), c3.reshape(shape), c4, x, values[0].size)
     else:
-        c23 = iter(rows(c2 * (c3 * x + c4)))
+        c23 = rows(c2 * (c3 * x + c4))
     p0, p1 = values
-    for k1, k5 in zip(rows(c1), rows(c5)):
-        # Taken by next(), a per-step array is a temporary numpy reuses in place.
-        p0, p1 = p1, (next(c23) * p1 - k5 * p0) / k1
-        values.append(p1)
+    for k1, k5, p in zip(rows(c1), rows(c5), c23):
+        # In place on the table's own row, so an array step allocates only k5 * p0.
+        p *= p1
+        p -= k5 * p0
+        p /= k1
+        p0, p1 = p1, p
+        values.append(p)
     return values
+
+
+def _folded_rows(c2, c3, c4, x, size: int):
+    """Rows of c2 (c3 x + c4), a block of at most _FOLD values (or one row) at a time.
+
+    A table with x folded in whole would grow with the points.  Each block
+    is formed in place, as c3 x, then + c4, then times c2: the same rounded
+    operations as the expression, without a temporary per operation.
+    """
+    k = max(1, _FOLD // max(1, size))
+    for i in range(0, len(c2), k):
+        block = c3[i:i + k] * x
+        block += c4
+        block *= c2[i:i + k]
+        yield from block
 
 
 @lru_cache(maxsize=32)
@@ -132,7 +155,7 @@ def log_poch_ratio(two_eta: int, n, m):
     return partial[n] - partial[m]
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=32, typed=True)
 def gauss_legendre(order: int) -> tuple[np.ndarray, np.ndarray]:
     """Gauss-Legendre nodes and weights on [-1, 1], exact for degree <= 2*order - 1.
 
@@ -152,6 +175,8 @@ def gauss_legendre(order: int) -> tuple[np.ndarray, np.ndarray]:
     tuple of ndarray
         Read-only ``(nodes, weights)``, nodes ascending.
     """
+    if isinstance(order, bool) or not isinstance(order, (int, np.integer)):
+        raise InvalidParams(f"order must be an int, got {order!r}")
     if order < 1:
         raise InvalidParams(f"order must be >= 1, got {order}")
     k = np.arange(1.0, order)

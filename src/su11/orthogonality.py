@@ -11,8 +11,10 @@ the left-hand side in three exact stages:
     are killed by the 4*pi-period angle).
 2.  When the selection passes, the remaining radial integral is a polynomial
     times (1-x)^{m'-m} (1+x)^{eta1+eta2-2}, whose exponents are then
-    non-negative integers; the whole integrand is a polynomial, evaluated
-    exactly by a Gauss-Legendre rule of matching order.
+    non-negative integers; the whole integrand is a polynomial of degree
+    a + b + m + n, evaluated exactly by a Gauss-Legendre rule of order
+    (a + b + m + n) // 2 + 1 or more.  The order is rounded up to a power of
+    two, so integrals of nearby degrees share one cached rule.
 3.  A seeded Monte Carlo estimate of the raw three-dimensional invariant
     integral provides an independent cross-check that bypasses stage 1.
     Its integrand is taken in polar form: the chart gives |alpha|^2, |z|^2
@@ -71,6 +73,7 @@ class OrthoResult:
     angular_selected: bool
     expected: float
     formal_dimension: Fraction
+    order: int  # Gauss-Legendre order of the radial integral; 0 if not selected
 
 
 def formal_dimension(eta) -> Fraction:
@@ -91,10 +94,19 @@ def radial_integral(req: OrthoRequest) -> float:
     Computes integral_{-1}^{1} (1-x)^{m'-m} (1+x)^{eta1+eta2-2}
     P_m^{(m'-m, 2 eta1 - 1)}(x) P_n^{(m'-m, 2 eta2 - 1)}(x) dx.  The selection
     makes both weight exponents non-negative integers, so the integrand is a
-    polynomial of degree a + b + m + n and a Gauss-Legendre rule of order
-    (a + b + m + n) // 2 + 1 integrates it exactly.  Raises InvalidParams
-    where the Jacobi factors overflow (for example at eta = 1, m = a = 300).
+    polynomial of degree a + b + m + n, which a Gauss-Legendre rule of order
+    need = (a + b + m + n) // 2 + 1 integrates exactly.  The rule used is
+    the power of two >= need, exact all the same, so that integrals of
+    nearby degrees share one cached rule.  On the diagonal (eta1 = eta2,
+    hence m = n) one Jacobi sequence serves both factors.  Raises
+    InvalidParams where the Jacobi factors overflow (for example at
+    eta = 1, m = a = 300).
     """
+    return _radial(req)[0]
+
+
+def _radial(req: OrthoRequest) -> tuple[float, int]:
+    """radial_integral's value and the order of the rule that gave it."""
     if not angular_selection(req):
         raise InvalidParams("radial_integral requires a request passing angular selection")
     if req.m_prime < req.m or req.n_prime < req.n:
@@ -102,15 +114,17 @@ def radial_integral(req: OrthoRequest) -> float:
     t1, t2 = req.eta1.two_eta, req.eta2.two_eta
     a = req.m_prime - req.m
     b = (t1 + t2) // 2 - 2
-    x, w = gauss_legendre((a + b + req.m + req.n) // 2 + 1)
+    need = (a + b + req.m + req.n) // 2 + 1
+    order = 1 << (need - 1).bit_length()
+    x, w = gauss_legendre(order)
     with np.errstate(over="ignore", invalid="ignore"):
         p1 = jacobi_sequence(float(a), float(t1 - 1), req.m, x)[-1]
-        p2 = jacobi_sequence(float(a), float(t2 - 1), req.n, x)[-1]
+        p2 = p1 if t1 == t2 else jacobi_sequence(float(a), float(t2 - 1), req.n, x)[-1]
         value = float(np.dot(w * (1.0 - x) ** a * (1.0 + x) ** b, p1 * p2))
     if not math.isfinite(value):
         raise InvalidParams(f"the Jacobi factors of ({req.m}, {req.m_prime}, {req.n}, "
                             f"{req.n_prime}) overflow double precision")
-    return value
+    return value, order
 
 
 def orthogonality_integral(req: OrthoRequest) -> OrthoResult:
@@ -121,7 +135,7 @@ def orthogonality_integral(req: OrthoRequest) -> OrthoResult:
     )
     expected = float(dim) if diagonal else 0.0
     if not angular_selection(req):
-        return OrthoResult(0.0, False, expected, dim)
+        return OrthoResult(0.0, False, expected, dim, 0)
     m, mp, n, np_ = req.m, req.m_prime, req.n, req.n_prime
     if m > mp:
         # Swap both pairs through the min/max symmetry; the parity signs cancel.
@@ -131,7 +145,8 @@ def orthogonality_integral(req: OrthoRequest) -> OrthoResult:
     prefactor = 2.0 ** (2 + m - mp - (t1 + t2) // 2) * math.exp(
         0.5 * (log_poch_ratio(t1, mp, m) + log_poch_ratio(t2, np_, n))
     )
-    return OrthoResult(prefactor * radial_integral(canonical), True, expected, dim)
+    value, order = _radial(canonical)
+    return OrthoResult(prefactor * value, True, expected, dim, order)
 
 
 @dataclass(frozen=True)

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from su11 import InvalidParams, gauss_legendre, jacobi_sequence, log_poch_ratio
+from su11.jacobi import _FOLD
 from su11.verify import gr_7391
 
 
@@ -212,8 +213,11 @@ def test_recurrence_matches_textbook_loop_bit_for_bit():
             x = (1.0, -1.0, float(rng.uniform(-1.0, 1.0)))[i % 3]
             assert_same_bits(jacobi_sequence(lanes, b, size - 1, x),
                              textbook_jacobi_sequence(lanes, b, size - 1, x))
-        # Point calls: Monte Carlo batches (low degree, many points) and
-        # quadrature nodes (degree up to the rule's order).
+        # Point calls, with x folded into the table a block of rows at a time:
+        # Monte Carlo batches (low degree, many points: one row per block),
+        # quadrature nodes (degree up to the rule's order: one or two blocks),
+        # several rows per block with a partial last block, and one point
+        # past a single block's size.
         for degree, a, b in [(0, 0.0, 1.0), (1, 2.0, 1.0), (3, 1.0, 4.0), (6, 3.0, 2.0)]:
             x = 1.0 - 2.0 * rng.uniform(0.0, 1.0, 40_000) ** 2
             assert_same_bits(jacobi_sequence(a, b, degree, x),
@@ -222,6 +226,18 @@ def test_recurrence_matches_textbook_loop_bit_for_bit():
             x = np.append(gauss_legendre(degree + 2)[0], [-1.0, 1.0])
             assert_same_bits(jacobi_sequence(a, b, degree, x),
                              textbook_jacobi_sequence(a, b, degree, x))
+        for size, degree, a, b in [(5000, 40, 7.0, 2.0), (_FOLD + 1, 12, 0.5, 3.0)]:
+            x = np.append(rng.uniform(-1.0, 1.0, size - 2), [-1.0, 1.0])
+            assert_same_bits(jacobi_sequence(a, b, degree, x),
+                             textbook_jacobi_sequence(a, b, degree, x))
+        # One lane per point: arrays a and x of one shape, and x with more axes.
+        lanes = rng.uniform(-0.9, 40.0, 300)
+        x = rng.uniform(-1.0, 1.0, 300)
+        assert_same_bits(jacobi_sequence(lanes, 2.5, 90, x),
+                         textbook_jacobi_sequence(lanes, 2.5, 90, x))
+        x = rng.uniform(-1.0, 1.0, (4, 300))
+        assert_same_bits(jacobi_sequence(lanes, 2.5, 30, x),
+                         textbook_jacobi_sequence(lanes, 2.5, 30, x))
 
 
 # ----------------------------------------------------------------------
@@ -318,9 +334,12 @@ def test_lower_degree_polynomials_integrate_to_zero():
 
 
 def test_invalid_quadrature_params():
-    for order in (0, -3):
+    gauss_legendre(1)  # a cached order-1 rule must not answer for True
+    for order in (0, -3, 2.5, 3.0, True):
         with pytest.raises(InvalidParams):
             gauss_legendre(order)
+    # Cached per order, but bounded: a sweep of orders does not grow it forever.
+    assert gauss_legendre.cache_info().maxsize is not None
 
 
 # ----------------------------------------------------------------------

@@ -149,6 +149,36 @@ def test_radial_quadrature_order_stability():
     p1 = jacobi_sequence(3.0, 3.0, 3, x)[-1]
     doubled = float(np.dot(w * (1.0 - x) ** 3 * (1.0 + x) ** 2, p1 * p1))
     assert doubled == pytest.approx(base, rel=1e-13)
+    # The rule's order is the power of two >= need = (a + b + m + n) // 2 + 1,
+    # and its value agrees with the rule of order need up to the round-off of
+    # the rules' weights (5.5e-13 at eta = 1, m = 40, a = 0).  Cross-label
+    # integrals vanish, so the tolerance is relative to the sum of |terms|.
+    cases = [(eta, eta, m, m + a, m, m + a)
+             for eta, m, a in product(("1", "5/2"), (0, 3, 40), (0, 5, 60))]
+    cases += [(e1, e2, m, m + a, m + k, m + a + k)
+              for (e1, e2, k), m, a in product((("2", "1", 1), ("3", "1", 2)), (0, 9), (0, 17))]
+    for case in cases:
+        req = OrthoRequest(*case)
+        t1, t2 = req.eta1.two_eta, req.eta2.two_eta
+        a, b = req.m_prime - req.m, (t1 + t2) // 2 - 2
+        need = (a + b + req.m + req.n) // 2 + 1
+        order = orthogonality_integral(req).order
+        assert order & (order - 1) == 0 and need <= order < 2 * need, case
+        value = radial_integral(req)
+
+        def terms(rule):
+            x, w = rule
+            p1 = jacobi_sequence(float(a), float(t1 - 1), req.m, x)[-1]
+            p2 = jacobi_sequence(float(a), float(t2 - 1), req.n, x)[-1]
+            return w * (1.0 - x) ** a * (1.0 + x) ** b, p1 * p2
+
+        weight, product_ = terms(gauss_legendre(need))
+        reference = float(np.dot(weight, product_))
+        assert abs(value - reference) <= 1e-12 * float(np.sum(np.abs(weight * product_))), case
+        if t1 == t2:
+            # One sequence serves both factors: the same bits as two calls.
+            assert value == float(np.dot(*terms(gauss_legendre(order)))), case
+    assert orthogonality_integral(OrthoRequest("1", "1", 0, 0, 1, 0)).order == 0
 
 
 def test_large_index_integrals():
