@@ -44,7 +44,7 @@ from .group import (
     multiply,
     to_cartan,
 )
-from .halfint import HalfInteger, RepLabel, as_rep_label
+from .halfint import RepLabel, as_rep_label
 from .jacobi import gauss_legendre, jacobi_sequence, log_poch_ratio
 from .orthogonality import (
     MonteCarloEstimate,
@@ -90,7 +90,6 @@ __all__ = [
     "ELLIPTIC",
     "GroupElement",
     "HYPERBOLIC",
-    "HalfInteger",
     "IDENTITY",
     "InvalidDamping",
     "InvalidParams",

@@ -4,8 +4,8 @@ For a group element with u = Re(alpha) the closed form is
 
     chi(g) = (1/2) * (u^2 - 1)^{-1/2} * (u + (u^2 - 1)^{1/2})^{1 - 2 eta},
 
-real for hyperbolic classes (u > 1) and complex for elliptic ones
-(u^2 < 1), where the root is taken as +i*sqrt(1 - u^2).  On the compact
+real for hyperbolic classes (u^2 > 1), where the root takes the sign of u,
+and complex for elliptic ones (u^2 < 1), where it is +i*sqrt(1 - u^2).  On the compact
 subgroup this reduces to
 
     chi(h(theta)) = exp(i (1 - 2 eta) theta / 2) / (2 i sin(theta/2)).
@@ -56,19 +56,18 @@ def character(eta, g: GroupElement) -> CharacterValue:
     """Closed-form character at g, branching on the class of Re(alpha).
 
     Raises BoundaryConjugacyClass within ``BOUNDARY_TOL`` of (Re alpha)^2 = 1
-    (the parabolic classes, where the formula is genuinely singular) and
-    UnsupportedClass for Re(alpha) < -1, where the sign of the square root
-    is not pinned down by the elliptic-side convention.
+    (the parabolic classes, where the formula is genuinely singular).  The
+    centre acts by the scalar (-1)^{2 eta}, and Re(alpha) < -1 is the class
+    of -g for a hyperbolic g, so there the root takes the sign of Re(alpha):
+    that gives chi(-g) = (-1)^{2 eta} chi(g) exactly.
     """
     label = as_rep_label(eta)
     u = g.alpha.real
     disc = u * u - 1.0
     if abs(disc) <= BOUNDARY_TOL:
         raise BoundaryConjugacyClass(f"(Re alpha)^2 - 1 = {disc!r} is too close to 0")
-    if u < -1.0:
-        raise UnsupportedClass("characters with Re(alpha) < -1 are not implemented")
     if disc > 0.0:
-        root = math.sqrt(disc)
+        root = math.copysign(math.sqrt(disc), u)
         value = complex(0.5 / root * (u + root) ** (1 - label.two_eta))
         return CharacterValue(value, HYPERBOLIC)
     root = 1j * math.sqrt(-disc)
@@ -89,9 +88,7 @@ def character_cartan(eta, x: float, phi: float, psi: float) -> CharacterValue:
     half = math.sqrt(2.0) * math.cos(0.5 * big_phi)
     scale = 0.5 * (1.0 + x) ** (0.5 * label.two_eta)
     if delta > 0.0:
-        if half < 0.0:
-            raise UnsupportedClass("characters with Re(alpha) < -1 are not implemented")
-        root = math.sqrt(delta)
+        root = math.copysign(math.sqrt(delta), half)  # half has the sign of Re(alpha)
         value = complex(scale / root * (half + root) ** (1 - label.two_eta))
         return CharacterValue(value, HYPERBOLIC)
     root = 1j * math.sqrt(-delta)

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from .characters import character, character_compact
 from .errors import Su11Error
 from .group import compact_element, from_cartan
-from .halfint import RepLabel
+from .halfint import RepLabel, as_rep_label
 from .orthogonality import OrthoRequest, monte_carlo_haar, orthogonality_integral
 from .repmatrix import matrix_element
 from .tensor import (
@@ -26,7 +26,7 @@ from .tensor import (
     decompose,
     multiplicity,
 )
-from .verify import run_suite
+from .verify import SUITE_NAMES, run_suite
 
 _CSV_COLUMNS = ("command", "inputs", "value_re", "value_im", "expected_re", "abs_error")
 
@@ -70,7 +70,7 @@ def _emit(records, fmt: str, stream) -> None:
 
 def _eta_arg(text: str) -> RepLabel:
     try:
-        return RepLabel.of(text)
+        return as_rep_label(text)
     except Su11Error as exc:
         raise argparse.ArgumentTypeError(str(exc)) from exc
 
@@ -261,8 +261,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_tensor)
 
     p = sub.add_parser("verify", help="run a verification suite")
-    p.add_argument("--suite", choices=("ortho", "unitary", "character", "tensor", "all"),
-                   default="all")
+    p.add_argument("--suite", choices=(*SUITE_NAMES, "all"), default="all")
     p.add_argument("--max-index", type=int, default=8, dest="max_index")
     p.add_argument("--samples", type=int, default=200_000)
     p.add_argument("--seed", type=int, default=42)

@@ -18,7 +18,7 @@ class BoundaryConjugacyClass(Su11Error):
 
 
 class UnsupportedClass(Su11Error):
-    """Conjugacy class outside the implemented branch domain."""
+    """Compact angle that is non-finite or outside (0, 2*pi)."""
 
 
 class SingularAngle(Su11Error):

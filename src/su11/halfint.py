@@ -1,138 +1,80 @@
-"""Exact half-integer arithmetic for discrete-series labels.
+"""Exact lowest-weight labels of the discrete series.
 
-Lowest-weight labels live on the half-integer lattice, and every selection
-rule in the orthogonality and tensor-product modules is an exact equality
-between such labels.  Comparing floats there would be fragile, so a
-:class:`HalfInteger` stores twice its value as a plain ``int`` and all label
-arithmetic happens on that integer.
+Every selection rule in the orthogonality and tensor-product modules is an
+exact equality between half-integer labels, so a :class:`RepLabel` stores
+the integer 2*eta and all label arithmetic happens on that integer.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import total_ordering
 
 from .errors import InvalidParams
 
 
-@total_ordering
-@dataclass(frozen=True)
-class HalfInteger:
-    """The number ``twice / 2``, with exact integer arithmetic on ``twice``."""
-
-    twice: int
-
-    def __post_init__(self) -> None:
-        if isinstance(self.twice, bool) or not isinstance(self.twice, int):
-            raise InvalidParams("HalfInteger.twice must be an int")
-
-    @classmethod
-    def from_value(cls, value) -> "HalfInteger":
-        """Coerce an int, float, Fraction, str or HalfInteger, exactly."""
-        if isinstance(value, HalfInteger):
-            return value
-        if isinstance(value, bool):
-            raise InvalidParams(f"cannot interpret {value!r} as a half-integer")
-        if isinstance(value, int):
-            return cls(2 * value)
-        if isinstance(value, Fraction):
-            doubled = 2 * value
-            if doubled.denominator != 1:
-                raise InvalidParams(f"{value} is not a half-integer")
-            return cls(int(doubled))
-        if isinstance(value, float):
-            doubled = 2.0 * value
-            try:
-                if doubled != round(doubled):
-                    raise InvalidParams(f"{value!r} is not an exact half-integer")
-                return cls(int(round(doubled)))
-            except (ValueError, OverflowError) as exc:  # nan / inf
-                raise InvalidParams(f"{value!r} is not an exact half-integer") from exc
-        if isinstance(value, str):
-            return cls.parse(value)
+def _twice(value) -> int:
+    """2 * value for an int, float, Fraction, str or RepLabel, exactly."""
+    if isinstance(value, bool):
         raise InvalidParams(f"cannot interpret {value!r} as a half-integer")
-
-    @classmethod
-    def parse(cls, text: str) -> "HalfInteger":
-        """Parse ``"2"``, ``"3/2"`` or ``"1.5"`` without rounding."""
-        s = text.strip()
+    if isinstance(value, int):
+        return 2 * value
+    if isinstance(value, RepLabel):
+        return value.two_eta
+    if isinstance(value, Fraction):
+        doubled = 2 * value
+        if doubled.denominator != 1:
+            raise InvalidParams(f"{value} is not a half-integer")
+        return int(doubled)
+    if isinstance(value, float):
+        doubled = 2.0 * value
+        try:
+            if doubled == round(doubled):
+                return int(doubled)
+        except (ValueError, OverflowError):  # nan / inf
+            pass
+        raise InvalidParams(f"{value!r} is not an exact half-integer")
+    if isinstance(value, str):
+        # Parse "2", "3/2" or "1.5" without rounding.
+        s = value.strip()
         try:
             if "/" in s:
                 num, den = s.split("/")
-                return cls.from_value(Fraction(int(num), int(den)))
+                return _twice(Fraction(int(num), int(den)))
             if any(ch in s for ch in ".eE"):
-                return cls.from_value(float(s))
-            return cls(2 * int(s))
+                return _twice(float(s))
+            return 2 * int(s)
         except (ValueError, ZeroDivisionError) as exc:
-            raise InvalidParams(f"cannot parse {text!r} as a half-integer") from exc
-
-    def is_integer(self) -> bool:
-        return self.twice % 2 == 0
-
-    def as_fraction(self) -> Fraction:
-        return Fraction(self.twice, 2)
-
-    def __add__(self, other) -> "HalfInteger":
-        return HalfInteger(self.twice + HalfInteger.from_value(other).twice)
-
-    __radd__ = __add__
-
-    def __sub__(self, other) -> "HalfInteger":
-        return HalfInteger(self.twice - HalfInteger.from_value(other).twice)
-
-    def __rsub__(self, other) -> "HalfInteger":
-        return HalfInteger(HalfInteger.from_value(other).twice - self.twice)
-
-    def __neg__(self) -> "HalfInteger":
-        return HalfInteger(-self.twice)
-
-    def __lt__(self, other) -> bool:
-        return self.twice < HalfInteger.from_value(other).twice
-
-    def __float__(self) -> float:
-        return self.twice / 2.0
-
-    def __str__(self) -> str:
-        if self.twice % 2 == 0:
-            return str(self.twice // 2)
-        return f"{self.twice}/2"
+            raise InvalidParams(f"cannot parse {value!r} as a half-integer") from exc
+    raise InvalidParams(f"cannot interpret {value!r} as a half-integer")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class RepLabel:
-    """Lowest-weight label of a holomorphic discrete-series representation.
+    """Lowest-weight label eta of a holomorphic discrete-series representation.
 
-    Valid labels are the half-integers 1, 3/2, 2, 5/2, ...; anything below 1
-    is rejected because the weighted disk inner product degenerates there.
+    ``RepLabel(eta)`` takes an int, an exact float, a Fraction, a string such
+    as ``"3/2"`` or ``"1.5"``, or a RepLabel; ``RepLabel(two_eta=k)`` takes
+    the integer 2*eta, by keyword only, so ``RepLabel(3)`` is eta = 3.  Labels
+    below 1 are rejected: the weighted disk inner product degenerates there.
     """
 
-    eta: HalfInteger
+    two_eta: int
 
-    def __post_init__(self) -> None:
-        if not isinstance(self.eta, HalfInteger):
-            object.__setattr__(self, "eta", HalfInteger.from_value(self.eta))
-        if self.eta.twice < 2:
-            raise InvalidParams(f"representation label must be >= 1, got {self.eta}")
-
-    @classmethod
-    def of(cls, value) -> "RepLabel":
-        if isinstance(value, RepLabel):
-            return value
-        return cls(HalfInteger.from_value(value))
-
-    @property
-    def two_eta(self) -> int:
-        """The integer 2*eta; exponents and Gamma arguments are built from it."""
-        return self.eta.twice
-
-    @property
-    def value(self) -> float:
-        return self.eta.twice / 2.0
+    def __init__(self, eta=None, *, two_eta=None) -> None:
+        if two_eta is None:
+            two_eta = _twice(eta)
+        elif eta is not None or isinstance(two_eta, bool) or not isinstance(two_eta, int):
+            raise InvalidParams(f"two_eta must be an int given alone, got {two_eta!r}")
+        object.__setattr__(self, "two_eta", two_eta)
+        if two_eta < 2:
+            raise InvalidParams(f"representation label must be >= 1, got {self}")
 
     def __str__(self) -> str:
-        return str(self.eta)
+        if self.two_eta % 2 == 0:
+            return str(self.two_eta // 2)
+        return f"{self.two_eta}/2"
 
 
 def as_rep_label(value) -> RepLabel:
-    """Coerce a RepLabel, HalfInteger, number or string to a RepLabel."""
-    return RepLabel.of(value)
+    """Coerce a RepLabel, number or string to a RepLabel."""
+    return value if isinstance(value, RepLabel) else RepLabel(value)

@@ -171,8 +171,10 @@ def haar_integrand(req: OrthoRequest, tau, phi, psi):
     cosh_half = np.cosh(0.5 * tau)
     tanh_half = np.tanh(0.5 * tau)
     polar = (cosh_half * cosh_half, tanh_half * tanh_half, 0.5 * (phi + psi), 0.5 * (phi - psi))
-    s1, l1, a1 = matrix_element_polar(req.eta1, req.m, req.m_prime, *polar)
-    s2, l2, a2 = matrix_element_polar(req.eta2, req.n, req.n_prime, *polar)
+    first, second = (req.eta1, req.m, req.m_prime), (req.eta2, req.n, req.n_prime)
+    s1, l1, a1 = matrix_element_polar(*first, *polar)
+    # A diagonal request has both factors equal: reuse the first's values.
+    s2, l2, a2 = (s1, l1, a1) if second == first else matrix_element_polar(*second, *polar)
     return s1 * s2 * np.exp(l1 + l2) * np.cos(a1 - a2) * np.sinh(tau)
 
 

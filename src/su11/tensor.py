@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 from .characters import abel_trace, character_compact
 from .errors import InvalidDamping, InvalidParams
-from .halfint import HalfInteger, RepLabel, as_rep_label
+from .halfint import RepLabel, as_rep_label
 
 
 @dataclass(frozen=True)
@@ -53,7 +53,7 @@ def decompose(eta1, eta2, n_max: int) -> Decomposition:
         raise InvalidParams(f"n_max must be >= 0, got {n_max}")
     base = l1.two_eta + l2.two_eta
     terms = tuple(
-        DecompositionTerm(RepLabel(HalfInteger(base + 2 * n)), 1)
+        DecompositionTerm(RepLabel(two_eta=base + 2 * n), 1)
         for n in range(n_max + 1)
     )
     return Decomposition(l1, l2, terms, n_max)
@@ -84,7 +84,7 @@ def abel_character_sum(eta1, eta2, theta: float, r: float, n_max: int = 50) -> c
         raise InvalidDamping(f"damping must lie in (0, 1), got {r}")
     if n_max < 0:
         raise InvalidParams(f"n_max must be >= 0, got {n_max}")
-    base = RepLabel(HalfInteger(l1.two_eta + l2.two_eta))
+    base = RepLabel(two_eta=l1.two_eta + l2.two_eta)
     character_compact(base, theta)  # the angle guards; the value is not needed
     return abel_trace(base, theta, r, n_max + 1) / (1.0 - cmath.exp(-1j * theta))
 
@@ -97,5 +97,5 @@ def abel_character_sum_closed_form(eta1, eta2, theta: float, r: float) -> comple
     l1, l2 = as_rep_label(eta1), as_rep_label(eta2)
     if not 0.0 < r <= 1.0:
         raise InvalidDamping(f"damping must lie in (0, 1], got {r}")
-    lead = character_compact(RepLabel(HalfInteger(l1.two_eta + l2.two_eta)), theta)
+    lead = character_compact(RepLabel(two_eta=l1.two_eta + l2.two_eta), theta)
     return lead / (1.0 - r * cmath.exp(-1j * theta))

@@ -10,6 +10,7 @@ import pytest
 from su11 import (
     BoundaryConjugacyClass,
     ELLIPTIC,
+    GroupElement,
     HYPERBOLIC,
     IDENTITY,
     InvalidDamping,
@@ -18,6 +19,7 @@ from su11 import (
     UnsupportedClass,
     abel_trace,
     abel_trace_closed_form,
+    as_rep_label,
     character,
     character_cartan,
     character_compact,
@@ -68,8 +70,28 @@ def test_boundary_and_unsupported_classes():
     with pytest.raises(BoundaryConjugacyClass):
         character("1", compact_element(2.0 * math.pi))  # alpha = -1
     neg = from_cartan(2.0, math.pi, math.pi)  # Re(alpha) = -cosh(1)
-    with pytest.raises(UnsupportedClass):
-        character("3/2", neg)
+    # The class of -g for g = from_cartan(2, 0, 0), so the value is
+    # (-1)^(2 eta) = -1 times exp(-2) / (2 sinh(1)) at eta = 3/2.
+    result = character("3/2", neg)
+    assert result.regime == HYPERBOLIC
+    assert result.value == pytest.approx(-0.5 * math.exp(-2.0) / math.sinh(1.0), rel=1e-13)
+
+
+def test_character_at_minus_g_is_the_centre_sign():
+    # The docstring's claim: chi(-g) = (-1)^(2 eta) chi(g) exactly, since
+    # negating u negates the root and the base and nothing else.
+    rng = np.random.default_rng(23)
+    for _ in range(100):
+        g = random_element(rng, 4.0)
+        if g.alpha.real < 1.0 + 1e-3:
+            continue
+        neg = GroupElement(-g.alpha, -g.beta)
+        c = to_cartan(neg)
+        for eta in ("1", "3/2", "2", "5/2"):
+            expected = (-1) ** as_rep_label(eta).two_eta * character(eta, g).value
+            assert character(eta, neg).value == expected
+            chart = character_cartan(eta, c.x, c.phi, c.psi).value
+            assert chart == pytest.approx(expected, rel=1e-12)
 
 
 def test_compact_angle_domain():
@@ -93,7 +115,7 @@ def test_chart_form_matches_general():
     while checked < 100:
         g = random_element(rng)
         u = g.alpha.real
-        if abs(u * u - 1.0) < 1e-3 or u < -1.0:
+        if abs(u * u - 1.0) < 1e-3:
             continue
         c = to_cartan(g)
         lhs = character("5/2", g)
@@ -120,7 +142,7 @@ def test_class_function_under_conjugation():
     while checked < 60:
         g = random_element(rng, 2.0)
         u = g.alpha.real
-        if abs(u * u - 1.0) < 1e-3 or u < -1.0:
+        if abs(u * u - 1.0) < 1e-3:
             continue
         h = random_element(rng, 1.0)
         conjugated = multiply(multiply(h, g), inverse(h))
@@ -174,11 +196,13 @@ def test_damped_trace_extrapolates_to_closed_form():
     for eta in ("1", "3/2", "2"):
         for t in (0.5, 1.0, 2.0):
             g = from_cartan(2.0 * t, 0.7, -0.3)
-            closed = character(eta, g).value
-            extrapolated = sum(
-                c * damped_trace_sum(eta, g, r, 4000) for c, r in zip(coeffs, dampings)
-            )
-            assert extrapolated == pytest.approx(closed, rel=5e-4)
+            # -g has Re(alpha) < -1: the closed form's sign is checked there too.
+            for h in (g, GroupElement(-g.alpha, -g.beta)):
+                closed = character(eta, h).value
+                extrapolated = sum(
+                    c * damped_trace_sum(eta, h, r, 4000) for c, r in zip(coeffs, dampings)
+                )
+                assert extrapolated == pytest.approx(closed, rel=5e-4)
 
 
 def mp_damped_diagonal_sum(eta, tau, phi, psi, r, terms, dps=30):

@@ -78,6 +78,13 @@ def test_character_theta_and_alpha_paths():
     assert rec["value_re"] == pytest.approx(expected, rel=1e-9)
     assert rec["inputs"]["regime"] == "hyperbolic_conditional"
 
+    # Re(alpha) < -1 is the class of -g for a hyperbolic g.
+    proc = run_cli("character", "--eta", "1", "--alpha-re", "-1.5")
+    assert proc.returncode == 0
+    (rec,) = records_of(proc)
+    assert rec["value_re"] == pytest.approx(0.1708203932, rel=1e-9)
+    assert rec["inputs"]["regime"] == "hyperbolic_conditional"
+
 
 def test_character_boundary_exits_3():
     assert run_cli("character", "--eta", "1", "--theta", "0").returncode == 3

@@ -1,6 +1,7 @@
 """Group element construction, chart conversions and the invariant measure."""
 import cmath
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -11,6 +12,8 @@ from su11 import (
     DeterminantViolation,
     GroupElement,
     InvalidParams,
+    RepLabel,
+    as_rep_label,
     compact_element,
     disk_point,
     from_cartan,
@@ -61,14 +64,23 @@ def test_determinant_violation():
             GroupElement(bad, 0.0)
 
 
-def test_half_integer_rejects_non_lattice_values():
-    from su11 import HalfInteger, InvalidParams as Invalid
-
-    assert HalfInteger.from_value(1.5).twice == 3
-    assert HalfInteger.parse("3/2").twice == 3
-    for bad in (0.4, float("nan"), float("inf"), "x"):
-        with pytest.raises(Invalid):
-            HalfInteger.from_value(bad)
+def test_rep_label_rejects_non_lattice_values():
+    # A positional argument is eta itself; 2*eta goes only by keyword.
+    assert RepLabel(3) == as_rep_label("3") == as_rep_label(3.0)
+    assert RepLabel(3).two_eta == 6
+    for value in ("3/2", " 3/2 ", "1.5", 1.5, Fraction(3, 2), RepLabel(two_eta=3)):
+        assert as_rep_label(value) == RepLabel(value) == RepLabel(two_eta=3)
+    assert [str(as_rep_label(v)) for v in ("2", "3/2", "1.5", Fraction(5, 2), 4)] == [
+        "2", "3/2", "3/2", "5/2", "4"]
+    for bad in (True, 0.4, 2.25, Fraction(1, 3), float("nan"), float("inf"),
+                "x", "1/0", "1/2", 0):
+        with pytest.raises(InvalidParams):
+            as_rep_label(bad)
+    for bad in (1, 2.0, True):
+        with pytest.raises(InvalidParams):
+            RepLabel(two_eta=bad)
+    with pytest.raises(InvalidParams):
+        RepLabel("3/2", two_eta=3)
 
 
 def test_cartan_ranges_normalized():

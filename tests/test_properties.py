@@ -1,12 +1,12 @@
-"""Property tests: chart round trips and exact half-integer arithmetic."""
+"""Property tests: chart round trips and exact label parsing."""
 import cmath
 import math
 
 from hypothesis import given
 from hypothesis import strategies as st
 
-from su11 import (CartanCoords, GroupElement, HalfInteger, from_cartan, matrix_element,
-                  matrix_element_cartan, to_cartan)
+from su11 import (CartanCoords, GroupElement, RepLabel, as_rep_label, from_cartan,
+                  matrix_element, matrix_element_cartan, to_cartan)
 
 TWO_PI = 2.0 * math.pi
 
@@ -14,7 +14,7 @@ finite = dict(allow_nan=False, allow_infinity=False)
 taus = st.floats(0.0, 10.0, **finite)
 phases = st.floats(-TWO_PI, TWO_PI, **finite)
 angles = st.floats(-20.0, 20.0, **finite)
-half_integers = st.integers(-10**6, 10**6).map(HalfInteger)
+labels = st.integers(2, 2 * 10**6).map(lambda k: RepLabel(two_eta=k))
 
 
 @given(taus, phases, phases)
@@ -41,18 +41,6 @@ def test_chart_point_keeps_its_element_at_any_angle(tau, phi, psi, n, n_prime):
     assert abs(chart - direct) <= 1e-11 * (1.0 + abs(direct))
 
 
-@given(half_integers)
-def test_half_integer_parses_its_own_string(h):
-    assert HalfInteger.parse(str(h)) == h
-
-
-@given(half_integers, half_integers)
-def test_half_integer_addition_inverts(a, b):
-    assert (a + b) - b == a
-
-
-@given(half_integers, half_integers)
-def test_half_integer_order_follows_twice(a, b):
-    assert (a < b) == (a.twice < b.twice)
-    assert (a <= b) == (a.twice <= b.twice)
-    assert (a == b) == (a.twice == b.twice)
+@given(labels)
+def test_rep_label_parses_its_own_string(label):
+    assert as_rep_label(str(label)) == label

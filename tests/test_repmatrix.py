@@ -9,6 +9,7 @@ import pytest
 
 from su11 import (
     IDENTITY,
+    GroupElement,
     InvalidParams,
     as_rep_label,
     compact_element,
@@ -95,7 +96,7 @@ def test_compact_element_is_diagonal_phase():
     theta = 1.234
     h = compact_element(theta)
     for eta in ("1", "3/2"):
-        eta_val = as_rep_label(eta).value
+        eta_val = as_rep_label(eta).two_eta / 2
         for n in range(6):
             got = matrix_element(eta, n, n, h)
             assert got == pytest.approx(cmath.exp(-1j * (eta_val + n) * theta), abs=1e-14)
@@ -295,6 +296,19 @@ def test_block_entries_match_scalar_bit_for_bit():
     cells += [(179, 179), (0, 179), (179, 0), (171, 169), (169, 171)]
     for i, j in cells:
         assert block.entries[i, j] == matrix_element("3/2", int(i), int(j), g)
+
+
+def test_centre_acts_by_its_sign_on_blocks():
+    # -1 is central and U(-1) = (-1)^(2 eta), so U(-g) = (-1)^(2 eta) U(g);
+    # the entries differ in their last bits, since arg(-alpha) rounds apart.
+    for eta in ("1", "3/2", "5/2"):
+        sign = (-1) ** as_rep_label(eta).two_eta
+        for tau in (0.3, 1.5, 3.0):
+            g = from_cartan(tau, 0.4, -1.1)
+            neg = GroupElement(-g.alpha, -g.beta)
+            block = truncated_operator(eta, g, 12).entries
+            flipped = truncated_operator(eta, neg, 12).entries
+            assert np.max(np.abs(flipped - sign * block)) <= 1e-13
 
 
 def test_block_of_identity_and_compact():

@@ -7,7 +7,6 @@ import numpy as np
 import pytest
 
 from su11 import (
-    HalfInteger,
     InvalidDamping,
     RepLabel,
     SingularAngle,
@@ -98,7 +97,7 @@ def test_abel_sum_is_ladder_of_compact_characters():
     for eta1, eta2, theta, r in (("1", "1", 1.0, 0.9), ("3/2", "2", math.pi, 0.99),
                                  ("5/2", "1", 2 * math.pi - 0.5, 0.5)):
         base = as_rep_label(eta1).two_eta + as_rep_label(eta2).two_eta
-        ladder = sum(r ** n * character_compact(RepLabel(HalfInteger(base + 2 * n)), theta)
+        ladder = sum(r ** n * character_compact(RepLabel(two_eta=base + 2 * n), theta)
                      for n in range(301))
         value = abel_character_sum(eta1, eta2, theta, r, 300)
         assert abs(value - ladder) <= 1e-12 * abs(ladder)
@@ -109,8 +108,8 @@ def test_consecutive_character_ratio_is_phase():
     for base in ("2", "5/2"):
         lead = as_rep_label(base)
         for n in range(5):
-            top = RepLabel(HalfInteger(lead.two_eta + 2 * (n + 1)))
-            bottom = RepLabel(HalfInteger(lead.two_eta + 2 * n))
+            top = RepLabel(two_eta=lead.two_eta + 2 * (n + 1))
+            bottom = RepLabel(two_eta=lead.two_eta + 2 * n)
             ratio = character_compact(top, theta) / character_compact(bottom, theta)
             assert ratio == pytest.approx(cmath.exp(-1j * theta), rel=1e-13)
 
@@ -119,7 +118,7 @@ def test_abel_sum_half_damping_closed_form():
     for eta1, eta2, theta in [("1", "1", 1.1), ("3/2", "2", 2.9)]:
         got = abel_character_sum(eta1, eta2, theta, 0.5, 200)
         expected = character_compact(
-            RepLabel(HalfInteger(as_rep_label(eta1).two_eta + as_rep_label(eta2).two_eta)),
+            RepLabel(two_eta=as_rep_label(eta1).two_eta + as_rep_label(eta2).two_eta),
             theta,
         ) / (1.0 - 0.5 * cmath.exp(-1j * theta))
         assert got == pytest.approx(expected, rel=1e-12)
