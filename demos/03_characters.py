@@ -10,9 +10,10 @@ import math
 
 from su11 import (
     abel_trace,
-    abel_trace_closed_form,
     character,
     character_compact,
+    compact_element,
+    damped_trace_closed_form,
     damped_trace_sum,
     from_cartan,
 )
@@ -31,7 +32,7 @@ print("  closed form:", chi)
 for r in (0.9, 0.99, 0.999):
     s = abel_trace("3/2", 2.0, r, 30_000)
     print(f"  damped sum, r = {r}: {s:+.8f}  (gap {abs(s - chi):.2e})")
-limit = abel_trace_closed_form("3/2", 2.0, 1.0)
+limit = damped_trace_closed_form("3/2", compact_element(2.0), 1.0)
 print("  closed form at r = 1:", limit, " gap:", abs(limit - chi))
 
 print("\nfrozen values: chi(h(pi)) at eta = 1 and 3/2:")

@@ -14,10 +14,10 @@ from .characters import (
     HYPERBOLIC,
     CharacterValue,
     abel_trace,
-    abel_trace_closed_form,
     character,
     character_cartan,
     character_compact,
+    damped_trace_closed_form,
     damped_trace_sum,
     trace_partial_sum,
 )
@@ -104,7 +104,6 @@ __all__ = [
     "abel_character_sum",
     "abel_character_sum_closed_form",
     "abel_trace",
-    "abel_trace_closed_form",
     "angular_selection",
     "as_rep_label",
     "character",
@@ -112,6 +111,7 @@ __all__ = [
     "character_compact",
     "character_product",
     "compact_element",
+    "damped_trace_closed_form",
     "damped_trace_sum",
     "decompose",
     "disk_point",

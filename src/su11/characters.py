@@ -1,21 +1,22 @@
 """Characters (operator traces) of the discrete-series representations.
 
-For a group element with u = Re(alpha) the closed form is
+The damped diagonal series of any element g sums in closed form, by the
+Jacobi generating function (DLMF 18.12.1):
 
-    chi(g) = (1/2) * (u^2 - 1)^{-1/2} * (u + (u^2 - 1)^{1/2})^{1 - 2 eta},
+    sum_{n >= 0} r^n U_{nn}(g) = 1 / (rho ((alpha + r conj(alpha) + rho)/2)^{2 eta - 1}),
+    rho^2 = (alpha - r conj(alpha))^2 + 4 r |beta|^2,   0 < r <= 1.
 
-real for hyperbolic classes (u^2 > 1), where the root takes the sign of u,
-and complex for elliptic ones (u^2 < 1), where it is +i*sqrt(1 - u^2).  On the compact
-subgroup this reduces to
+At r = 1, rho = 2 (u^2 - 1)^{1/2} with u = Re(alpha), and this is the
+character: real for hyperbolic classes (u^2 > 1), complex for elliptic ones
+(u^2 < 1).  On the compact subgroup it reduces to
 
     chi(h(theta)) = exp(i (1 - 2 eta) theta / 2) / (2 i sin(theta/2)).
 
 The operators are never trace class in the absolute sense: the diagonal
 series has unit-modulus terms on elliptic classes and terms decaying only
-like n^{-1/2} on hyperbolic ones.  The closed forms above are the Abel
-limits of the diagonal series, and the summation helpers in this module
-expose exactly that regularized semantics (damping factor and term count
-always explicit).
+like n^{-1/2} on hyperbolic ones.  The character is the Abel limit of the
+diagonal series, and the summation helpers in this module expose exactly
+that regularized semantics (damping factor and term count always explicit).
 """
 from __future__ import annotations
 
@@ -52,27 +53,41 @@ class CharacterValue:
     regime: str
 
 
-def character(eta, g: GroupElement) -> CharacterValue:
-    """Closed-form character at g, branching on the class of Re(alpha).
+def damped_trace_closed_form(eta, g: GroupElement, r: float) -> complex:
+    """The damped diagonal series sum_{n >= 0} r^n U_{nn}(g) in closed form, r in (0, 1].
 
-    Raises BoundaryConjugacyClass within ``BOUNDARY_TOL`` of (Re alpha)^2 = 1
-    (the parabolic classes, where the formula is genuinely singular).  The
-    centre acts by the scalar (-1)^{2 eta}, and Re(alpha) < -1 is the class
-    of -g for a hyperbolic g, so there the root takes the sign of Re(alpha):
-    that gives chi(-g) = (-1)^{2 eta} chi(g) exactly.
+    This is the module's generating function, with rho = alpha R for DLMF's
+    R.  The one branch rule is Re(rho conj(alpha)) > 0, R's principal root.
+    At r = 1 it is the character, and it raises BoundaryConjugacyClass
+    within ``BOUNDARY_TOL`` of (Re alpha)^2 = 1 (the parabolic classes).
     """
     label = as_rep_label(eta)
-    u = g.alpha.real
-    disc = u * u - 1.0
-    if abs(disc) <= BOUNDARY_TOL:
-        raise BoundaryConjugacyClass(f"(Re alpha)^2 - 1 = {disc!r} is too close to 0")
-    if disc > 0.0:
-        root = math.copysign(math.sqrt(disc), u)
-        value = complex(0.5 / root * (u + root) ** (1 - label.two_eta))
-        return CharacterValue(value, HYPERBOLIC)
-    root = 1j * math.sqrt(-disc)
-    value = 0.5 / root * (u + root) ** (1 - label.two_eta)
-    return CharacterValue(value, ELLIPTIC)
+    if not 0.0 < r <= 1.0:
+        raise InvalidDamping(f"damping must lie in (0, 1], got {r}")
+    u, v = g.alpha.real, g.alpha.imag
+    b2 = g.beta.real * g.beta.real + g.beta.imag * g.beta.imag
+    # D = u^2 - 1 = |beta|^2 - v^2, taken from the side that cancels less.
+    d = u * u - 1.0 if u * u < b2 + v * v else b2 - v * v
+    if r == 1.0 and abs(d) <= BOUNDARY_TOL:
+        raise BoundaryConjugacyClass(f"(Re alpha)^2 - 1 = {d!r} is too close to 0")
+    gap = 1.0 - r
+    rho = cmath.sqrt(complex(4.0 * r * d + gap * gap * (u * u - v * v),
+                             2.0 * gap * (1.0 + r) * u * v))
+    if rho.real * u + rho.imag * v < 0.0:
+        rho = -rho
+    half = 0.5 * (complex((1.0 + r) * u, gap * v) + rho)
+    return half ** (1 - label.two_eta) / rho + 0.0  # + 0.0 turns an imaginary -0.0 into +0.0
+
+
+def character(eta, g: GroupElement) -> CharacterValue:
+    """Closed-form character at g: ``damped_trace_closed_form`` at r = 1.
+
+    The root takes the sign of Re(alpha) on hyperbolic classes and of
+    Im(alpha) on elliptic ones, because the centre acts by (-1)^{2 eta} and
+    h(theta) and h(-theta) are different classes.
+    """
+    value = damped_trace_closed_form(eta, g, 1.0)
+    return CharacterValue(value, HYPERBOLIC if abs(g.alpha.real) > 1.0 else ELLIPTIC)
 
 
 def character_cartan(eta, x: float, phi: float, psi: float) -> CharacterValue:
@@ -91,7 +106,7 @@ def character_cartan(eta, x: float, phi: float, psi: float) -> CharacterValue:
         root = math.copysign(math.sqrt(delta), half)  # half has the sign of Re(alpha)
         value = complex(scale / root * (half + root) ** (1 - label.two_eta))
         return CharacterValue(value, HYPERBOLIC)
-    root = 1j * math.sqrt(-delta)
+    root = 1j * math.copysign(math.sqrt(-delta), math.sin(0.5 * big_phi))  # sign of Im(alpha)
     value = scale / root * (half + root) ** (1 - label.two_eta)
     return CharacterValue(value, ELLIPTIC)
 
@@ -164,31 +179,15 @@ def abel_trace(eta, theta: float, r: float, terms: int) -> complex:
     return complex(np.sum(r**n * np.exp(-1j * (eta_value + n) * theta)))
 
 
-def abel_trace_closed_form(eta, theta: float, r: float) -> complex:
-    """Geometric closed form exp(-i eta theta) / (1 - r exp(-i theta)) of the damped sum.
-
-    r = 1 gives the Abel limit, which equals the compact character; it is
-    singular where sin(theta/2) vanishes.
-    """
-    label = as_rep_label(eta)
-    if not 0.0 < r <= 1.0:
-        raise InvalidDamping(f"damping must lie in (0, 1], got {r}")
-    if abs(_half_sine(theta)) < _SIN_TOL and r == 1.0:
-        raise SingularAngle(f"sin(theta/2) vanishes at theta = {theta!r}")
-    eta_value = 0.5 * label.two_eta
-    return cmath.exp(-1j * eta_value * theta) / (1.0 - r * cmath.exp(-1j * theta))
-
-
 def damped_trace_sum(eta, g: GroupElement, r: float, terms: int) -> complex:
     """Damped diagonal sum sum_{n < terms} r^n U_{nn}(g) for arbitrary g.
 
-    This is the Abel-regularized trace; for hyperbolic classes its r -> 1
-    limit is the closed-form character.  The raw (r = 1) partial sums
-    converge there too, but only at the slow n^{-1/2} rate of Jacobi
-    polynomial decay, so a check against the closed form either
-    extrapolates this damped sum to r -> 1 or accelerates the sequence of
-    raw partial sums (``trace_partial_sum``); it never compares one raw
-    partial sum directly.
+    This is the Abel-regularized trace: it tends to ``damped_trace_closed_form``
+    as terms grow, and that tends to the character as r -> 1.  The terms
+    cancel as tau grows, and nothing flags the digits lost.  At (phi, psi) =
+    (0.3, -0.7) and r = 0.99 the sum is within 1e-10 relative of the closed
+    form for tau <= 4 (4000 terms), 7.9e-10 off at tau = 8 and 1.2e-2 off at
+    tau = 20 (20 000 terms).
     """
     if not 0.0 < r < 1.0:
         raise InvalidDamping(f"damping must lie in (0, 1), got {r}")

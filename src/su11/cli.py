@@ -14,9 +14,9 @@ import math
 import sys
 from dataclasses import dataclass
 
-from .characters import character, character_compact
+from .characters import ELLIPTIC, character, character_compact
 from .errors import Su11Error
-from .group import compact_element, from_cartan
+from .group import GroupElement, from_cartan
 from .halfint import RepLabel, as_rep_label
 from .orthogonality import OrthoRequest, monte_carlo_haar, orthogonality_integral
 from .repmatrix import matrix_element
@@ -119,17 +119,13 @@ def _cmd_character(args) -> int:
         return 2
     if args.theta is not None:
         value = character_compact(args.eta, args.theta)
-        inputs = {"eta": str(args.eta), "theta": args.theta, "regime": "elliptic_abel"}
+        inputs = {"eta": str(args.eta), "theta": args.theta, "regime": ELLIPTIC}
     else:
-        # Build a representative element with the requested Re(alpha); the
-        # character depends on nothing else.
+        # An element of the class with this Re(alpha); an elliptic one takes
+        # Im(alpha) > 0, as h(theta) does for theta in (0, 2*pi).
         a = args.alpha_re
-        if a > 1.0:
-            g = from_cartan(2.0 * math.acosh(a), 0.0, 0.0)
-        elif a < -1.0:
-            g = from_cartan(2.0 * math.acosh(-a), math.pi, math.pi)
-        else:
-            g = compact_element(2.0 * math.acos(a))
+        g = GroupElement(complex(a, math.sqrt(max(0.0, 1.0 - a * a))),
+                         math.sqrt(max(0.0, a * a - 1.0)))
         result = character(args.eta, g)
         value = result.value
         inputs = {"eta": str(args.eta), "alpha_re": a, "regime": result.regime}

@@ -121,6 +121,8 @@ def matrix_element_cartan(eta, n: int, n_prime: int, c: CartanCoords) -> complex
     if m < 0:
         raise InvalidParams("basis indices must be >= 0")
     jac = jacobi_sequence(float(big - m), float(te - 1), m, c.x)[-1]
+    if not math.isfinite(jac):
+        raise InvalidParams("the Jacobi factor overflows double precision at these indices")
     pref = math.exp(0.5 * log_poch_ratio(te, big, m))
     # 1 - x = 2 tanh^2(tau/2) and 1 + x = 2 sech^2(tau/2), taken from tau:
     # 1 + x formed from the rounded x cancels to 0 once tanh(tau/2) rounds to 1.

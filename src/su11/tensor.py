@@ -16,8 +16,9 @@ import cmath
 import math
 from dataclasses import dataclass
 
-from .characters import abel_trace, character_compact
+from .characters import abel_trace, character_compact, damped_trace_closed_form
 from .errors import InvalidDamping, InvalidParams
+from .group import compact_element
 from .halfint import RepLabel, as_rep_label
 
 
@@ -95,7 +96,7 @@ def abel_character_sum_closed_form(eta1, eta2, theta: float, r: float) -> comple
     r = 1 gives the Abel limit, which equals ``character_product``.
     """
     l1, l2 = as_rep_label(eta1), as_rep_label(eta2)
-    if not 0.0 < r <= 1.0:
-        raise InvalidDamping(f"damping must lie in (0, 1], got {r}")
-    lead = character_compact(RepLabel(two_eta=l1.two_eta + l2.two_eta), theta)
-    return lead / (1.0 - r * cmath.exp(-1j * theta))
+    base = RepLabel(two_eta=l1.two_eta + l2.two_eta)
+    character_compact(base, theta)  # the angle guards; the value is not needed
+    lead = damped_trace_closed_form(base, compact_element(theta), r)
+    return lead / (1.0 - cmath.exp(-1j * theta))

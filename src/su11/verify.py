@@ -19,14 +19,14 @@ import numpy as np
 
 from .characters import (
     abel_trace,
-    abel_trace_closed_form,
     character,
     character_cartan,
     character_compact,
+    damped_trace_closed_form,
     damped_trace_sum,
 )
 from .errors import InvalidParams
-from .group import from_cartan, inverse, multiply, to_cartan
+from .group import compact_element, from_cartan, inverse, multiply, to_cartan
 from .halfint import RepLabel, as_rep_label
 from .jacobi import gauss_legendre
 from .orthogonality import (
@@ -117,12 +117,11 @@ def verify_expansion_identity(theta: float) -> float:
 
     The right-hand side is the Abel limit of the geometric expansion of
     1/sin(theta/2); the two expressions agree identically, so the residual
-    is pure round-off.
+    is pure round-off.  Angles are refused as by ``character_compact``.
     """
-    # exp(-i theta) / (1 - exp(-i theta)) at eta = 1; it raises SingularAngle
-    # where sin(theta/2) vanishes and UnsupportedClass at non-finite theta.
-    rhs = 2j * cmath.exp(0.5j * theta) * abel_trace_closed_form("1", theta, 1.0)
-    return abs(1.0 / math.sin(0.5 * theta) - rhs)
+    character_compact("1", theta)  # the angle guards; the value is not needed
+    limit = damped_trace_closed_form("1", compact_element(theta), 1.0)
+    return abs(1.0 / math.sin(0.5 * theta) - 2j * cmath.exp(0.5j * theta) * limit)
 
 
 def quadrature_zeroth_moment(seed: int, max_order: int) -> CheckResult:
@@ -304,7 +303,8 @@ def abel_limit_closed_form(etas=_ETAS_ORTHO,
     for eta in etas:
         for theta in thetas:
             closed = character_compact(eta, float(theta))
-            worst = max(worst, abs(abel_trace_closed_form(eta, float(theta), 1.0) - closed))
+            limit = damped_trace_closed_form(eta, compact_element(float(theta)), 1.0)
+            worst = max(worst, abs(limit - closed))
     return _check("character", "abel_limit_closed_form", worst, 1e-13, grid=len(thetas))
 
 

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from su11 import (
+    BOUNDARY_TOL,
     BoundaryConjugacyClass,
     ELLIPTIC,
     GroupElement,
@@ -15,16 +16,17 @@ from su11 import (
     IDENTITY,
     InvalidDamping,
     InvalidParams,
+    RepLabel,
     SingularAngle,
     UnsupportedClass,
     abel_trace,
-    abel_trace_closed_form,
     as_rep_label,
     character,
     character_cartan,
     character_compact,
     character_product,
     compact_element,
+    damped_trace_closed_form,
     damped_trace_sum,
     from_cartan,
     inverse,
@@ -92,6 +94,18 @@ def test_character_at_minus_g_is_the_centre_sign():
             assert character(eta, neg).value == expected
             chart = character_cartan(eta, c.x, c.phi, c.psi).value
             assert chart == pytest.approx(expected, rel=1e-12)
+
+
+def test_character_at_minus_theta_is_the_conjugate():
+    # h(-theta) has Im(alpha) < 0: its damped sums conj(sum r^n e^{-i (eta + n) theta})
+    # tend to the conjugate of the character at h(theta).  The bound allows the
+    # rounding of the power (u + root)^(1 - 2 eta): 1.9e-15 at eta = 7/2.
+    for two_eta in range(2, 8):
+        for theta in np.linspace(0.1, 2 * math.pi - 0.1, 50):
+            result = character(two_eta / 2, compact_element(-theta))
+            expected = character_compact(two_eta / 2, float(theta)).conjugate()
+            assert result.regime == ELLIPTIC
+            assert abs(result.value - expected) <= 2e-15 * abs(expected)
 
 
 def test_compact_angle_domain():
@@ -238,6 +252,53 @@ def test_damped_trace_matches_mpmath():
                                       rel=1e-10)
 
 
+def test_damped_trace_matches_closed_form():
+    # Half phases (phi + psi) / 2 that give Re(alpha) > 1, Re(alpha) < -1, and
+    # elliptic classes with Im(alpha) > 0 and Im(alpha) < 0 at every tau here.
+    kinds = set()
+    for tau in (1.0, 2.5, 4.0):
+        for half in (0.1, math.pi - 0.1, 0.5 * math.pi - 0.2, 0.2 - 0.5 * math.pi):
+            g = from_cartan(tau, half + 0.7, half - 0.7)
+            u, v = g.alpha.real, g.alpha.imag
+            kinds.add(("Re+" if u > 0 else "Re-") if abs(u) > 1.0 else ("Im+" if v > 0 else "Im-"))
+            for eta in ("1", "3/2", "5/2"):
+                for r in (0.5, 0.95, 0.99):
+                    closed = damped_trace_closed_form(eta, g, r)
+                    summed = damped_trace_sum(eta, g, r, 4000)
+                    assert abs(summed - closed) <= 1e-10 * abs(closed)
+    assert kinds == {"Re+", "Re-", "Im+", "Im-"}
+
+
+def mp_generating_function(two_eta, tau, phi, psi, r, dps=40):
+    """DLMF 18.12.1 at Jacobi a = 0, summed over n with the diagonal's factors.
+
+    sum_n r^n U_nn = alpha^(-2 eta) 2^b / (R (1 + w + R)^b), with b = 2 eta - 1,
+    w = r conj(alpha) / alpha and R = (1 - 2 x w + w^2)^(1/2) the principal root.
+    """
+    with mp.workdps(dps):
+        half_tau = mp.mpf(tau) / 2
+        alpha = mp.cosh(half_tau) * mp.expj((mp.mpf(phi) + mp.mpf(psi)) / 2)
+        x = 1 - 2 * mp.tanh(half_tau) ** 2
+        w = mp.mpf(r) * mp.conj(alpha) / alpha
+        root = mp.sqrt(1 - 2 * x * w + w * w)
+        b = two_eta - 1
+        return complex(alpha ** -two_eta * 2 ** b / (root * (1 + w + root) ** b))
+
+
+def test_closed_form_matches_mpmath_generating_function():
+    rng = np.random.default_rng(31)
+    for draw in range(400):
+        two_eta = int(rng.integers(2, 8))
+        tau, phi, psi = rng.uniform(0, 20), rng.uniform(0, 2 * math.pi), rng.uniform(-6, 6)
+        r = (1.0, rng.uniform(1e-3, 1.0), 1.0 - 10 ** rng.uniform(-6, -1))[draw % 3]
+        g = from_cartan(tau, phi, psi)
+        if r == 1.0 and abs(g.alpha.real ** 2 - 1.0) <= 2 * BOUNDARY_TOL:
+            continue
+        expected = mp_generating_function(two_eta, tau, phi, psi, r)
+        got = damped_trace_closed_form(RepLabel(two_eta=two_eta), g, r)
+        assert abs(got - expected) <= 1e-12 * abs(expected)
+
+
 def test_damped_trace_validation():
     with pytest.raises(InvalidDamping):
         damped_trace_sum("1", IDENTITY, 1.0, 10)
@@ -256,7 +317,8 @@ def test_abel_trace_half_damping_closed_form():
             got = abel_trace(eta, theta, 0.5, 200)
             expected = cmath.exp(-1j * eta_val * theta) / (1.0 - 0.5 * cmath.exp(-1j * theta))
             assert got == pytest.approx(expected, rel=1e-12)
-            assert abel_trace_closed_form(eta, theta, 0.5) == pytest.approx(expected, rel=1e-14)
+            closed = damped_trace_closed_form(eta, compact_element(theta), 0.5)
+            assert closed == pytest.approx(expected, rel=1e-14)
 
 
 def test_abel_residual_linear_in_damping_gap():
@@ -275,7 +337,7 @@ def test_abel_residual_linear_in_damping_gap():
 def test_abel_limit_equals_compact_character():
     for eta in ("1", "3/2", "2", "5/2"):
         for theta in np.linspace(0.2, 2 * math.pi - 0.2, 30):
-            lhs = abel_trace_closed_form(eta, float(theta), 1.0)
+            lhs = damped_trace_closed_form(eta, compact_element(float(theta)), 1.0)
             rhs = character_compact(eta, float(theta))
             assert abs(lhs - rhs) <= 1e-13
 
@@ -287,15 +349,16 @@ def test_abel_trace_validation():
         abel_trace("1", 1.0, 1.0, 10)
     with pytest.raises(SingularAngle):
         abel_trace("1", 0.0, 0.5, 10)
-    # The closed form also takes r = 1, the Abel limit, singular where
-    # sin(theta/2) vanishes.
+    # The closed form also takes r = 1, the Abel limit, which is singular at
+    # alpha = +-1 as character(IDENTITY) is.
     for r in (0.0, 1.5, -0.5):
         with pytest.raises(InvalidDamping):
-            abel_trace_closed_form("1", 1.0, r)
+            damped_trace_closed_form("1", compact_element(1.0), r)
     for theta in (0.0, 2 * math.pi, -2 * math.pi):
-        with pytest.raises(SingularAngle):
-            abel_trace_closed_form("1", theta, 1.0)
-    assert abel_trace_closed_form("1", 0.0, 0.5) == pytest.approx(2.0, rel=1e-15)
+        with pytest.raises(BoundaryConjugacyClass):
+            damped_trace_closed_form("1", compact_element(theta), 1.0)
+    assert damped_trace_closed_form("1", compact_element(0.0), 0.5) == pytest.approx(
+        2.0, rel=1e-15)
 
 
 @pytest.mark.parametrize("theta", [math.nan, math.inf, -math.inf])
@@ -304,10 +367,7 @@ def test_abel_trace_validation():
     lambda theta: character_product("1", "3/2", theta),
     lambda theta: verify_expansion_identity(theta),
     lambda theta: abel_trace("1", theta, 0.5, 10),
-    lambda theta: abel_trace_closed_form("1", theta, 0.5),
-    lambda theta: abel_trace_closed_form("1", theta, 1.0),
-], ids=["character_compact", "character_product", "verify_expansion_identity",
-        "abel_trace", "abel_trace_closed_form", "abel_trace_closed_form_limit"])
+], ids=["character_compact", "character_product", "verify_expansion_identity", "abel_trace"])
 def test_non_finite_angle_is_refused(call, theta):
     with pytest.raises(UnsupportedClass):
         call(theta)

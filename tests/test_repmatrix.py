@@ -233,6 +233,8 @@ def test_jacobi_overflow_is_refused():
             matrix_element("1", 600, 1300, g)
         with pytest.raises(InvalidParams):
             matrix_element_batch("1", 600, 1300, [g.alpha], [g.beta])
+        with pytest.raises(InvalidParams):
+            matrix_element_cartan("1", 600, 1300, to_cartan(g))
 
 
 def test_polar_form_matches_scalar_and_refuses_overflow():
