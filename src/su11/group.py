@@ -20,7 +20,7 @@ import cmath
 import math
 from dataclasses import dataclass
 
-from .errors import DeterminantViolation, InvalidParams
+from .errors import DeterminantViolation, InvalidParams, UnsupportedClass
 
 TWO_PI = 2.0 * math.pi
 FOUR_PI = 4.0 * math.pi
@@ -152,6 +152,8 @@ def to_cartan(g: GroupElement) -> CartanCoords:
 
 def compact_element(theta: float) -> GroupElement:
     """The maximal-compact-subgroup element h(theta) = diag(e^{i theta/2}, e^{-i theta/2})."""
+    if not math.isfinite(theta):
+        raise UnsupportedClass(f"theta must be finite, got {theta!r}")
     return GroupElement(cmath.exp(0.5j * theta), 0.0)
 
 

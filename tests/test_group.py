@@ -13,6 +13,7 @@ from su11 import (
     GroupElement,
     InvalidParams,
     RepLabel,
+    UnsupportedClass,
     as_rep_label,
     compact_element,
     disk_point,
@@ -98,6 +99,13 @@ def test_cartan_ranges_normalized():
 def test_cartan_rejects_non_finite_coordinates(coords):
     with pytest.raises(InvalidParams):
         CartanCoords(*coords)
+
+
+@pytest.mark.parametrize("theta", [math.nan, math.inf, -math.inf])
+def test_compact_element_refuses_non_finite_angle(theta):
+    # Refused as every compact-angle function refuses it, not as a determinant.
+    with pytest.raises(UnsupportedClass, match="theta must be finite"):
+        compact_element(theta)
 
 
 # ----------------------------------------------------------------------

@@ -18,6 +18,7 @@ from su11 import (
     matrix_element,
     matrix_element_batch,
     matrix_element_cartan,
+    multiply,
     to_cartan,
     truncated_operator,
     unitarity_defect,
@@ -399,3 +400,30 @@ def test_block_size_validation():
         truncated_operator("1", IDENTITY, 0)
     with pytest.raises(InvalidParams):
         unitarity_defect(truncated_operator("1", IDENTITY, 4), 5)
+
+
+def _full_unitarity_defect(block, k):
+    """The defect from the whole Gram matrix B^dag B, cut to its corner."""
+    b = block.entries
+    return float(np.max(np.abs((b.conj().T @ b)[:k, :k] - np.eye(k))))
+
+
+def _full_homomorphism_defect(eta, g1, g2, size, k):
+    """The defect from three whole blocks and their whole product."""
+    product = truncated_operator(eta, multiply(g1, g2), size).entries
+    composed = truncated_operator(eta, g1, size).entries @ truncated_operator(eta, g2, size).entries
+    return float(np.max(np.abs((product - composed)[:k, :k])))
+
+
+@pytest.mark.parametrize("size", [20, 60])
+def test_corner_defects_match_full_matrix_definitions(size):
+    rng = np.random.default_rng(14)
+    for eta in ("1", "3/2", "2"):
+        g1 = from_cartan(rng.uniform(0, 1.0), rng.uniform(0, 6), rng.uniform(-6, 6))
+        g2 = from_cartan(rng.uniform(0, 1.0), rng.uniform(0, 6), rng.uniform(-6, 6))
+        block = truncated_operator(eta, g1, size)
+        for k in (1, 10, size):
+            assert abs(unitarity_defect(block, k)
+                       - _full_unitarity_defect(block, k)) <= 1e-15
+            assert abs(homomorphism_defect(eta, g1, g2, size, k)
+                       - _full_homomorphism_defect(eta, g1, g2, size, k)) <= 1e-15
