@@ -33,7 +33,7 @@ from .errors import (
     SingularAngle,
     UnsupportedClass,
 )
-from .group import TWO_PI, GroupElement
+from .group import TWO_PI, CartanCoords, GroupElement
 from .halfint import as_rep_label
 from .repmatrix import matrix_element_batch
 
@@ -90,25 +90,33 @@ def character(eta, g: GroupElement) -> CharacterValue:
     return CharacterValue(value, HYPERBOLIC if abs(g.alpha.real) > 1.0 else ELLIPTIC)
 
 
-def character_cartan(eta, x: float, phi: float, psi: float) -> CharacterValue:
-    """Character in chart coordinates; phi and psi enter only through phi + psi."""
+def character_cartan(eta, c: CartanCoords) -> CharacterValue:
+    """Character at the chart point c; phi and psi enter only through phi + psi.
+
+    With h = cos((phi + psi)/2) and s = sech(tau/2), Re(alpha) = h / s and
+    D = h^2 - s^2 = s^2 ((Re alpha)^2 - 1), so the closed form reads
+    chi = s / (2 root) * (s / (h + root))^{2 eta - 1} with root^2 = D, and the
+    root takes the sign rules of ``character``.  The base s / (h + root) has
+    modulus at most 1, so the power cannot overflow at any tau.
+    """
     label = as_rep_label(eta)
-    if not -1.0 < x <= 1.0:
-        raise InvalidParams(f"x must lie in (-1, 1], got {x}")
-    big_phi = phi + psi
-    delta = math.cos(big_phi) - x
-    # delta / (1 + x) equals (Re alpha)^2 - 1, so scale the boundary window by 1 + x.
-    if abs(delta) <= BOUNDARY_TOL * (1.0 + x):
-        raise BoundaryConjugacyClass(f"cos(phi + psi) - x = {delta!r} is too close to 0")
-    half = math.sqrt(2.0) * math.cos(0.5 * big_phi)
-    scale = 0.5 * (1.0 + x) ** (0.5 * label.two_eta)
-    if delta > 0.0:
-        root = math.copysign(math.sqrt(delta), half)  # half has the sign of Re(alpha)
-        value = complex(scale / root * (half + root) ** (1 - label.two_eta))
-        return CharacterValue(value, HYPERBOLIC)
-    root = 1j * math.copysign(math.sqrt(-delta), math.sin(0.5 * big_phi))  # sign of Im(alpha)
-    value = scale / root * (half + root) ** (1 - label.two_eta)
-    return CharacterValue(value, ELLIPTIC)
+    half = 0.5 * (c.phi + c.psi)
+    h = math.cos(half)
+    e = math.exp(-0.5 * c.tau)
+    s = 2.0 * e / (1.0 + e * e)  # sech(tau/2); cosh(tau/2) would overflow past tau ~ 1420
+    d = h * h - s * s
+    # D / s^2 is (Re alpha)^2 - 1, so the boundary window scales by s^2.
+    if abs(d) <= BOUNDARY_TOL * s * s:
+        raise BoundaryConjugacyClass(
+            f"cos^2((phi + psi)/2) - sech^2(tau/2) = {d!r} is too close to 0")
+    if d > 0.0:
+        root = math.copysign(math.sqrt(d), h)  # h has the sign of Re(alpha)
+        regime = HYPERBOLIC
+    else:
+        root = 1j * math.copysign(math.sqrt(-d), math.sin(half))  # sign of Im(alpha)
+        regime = ELLIPTIC
+    value = s / (2.0 * root) * (s / (h + root)) ** (label.two_eta - 1)
+    return CharacterValue(complex(value) + 0.0, regime)  # + 0.0 turns -0.0 parts into +0.0
 
 
 def _half_sine(theta: float) -> float:

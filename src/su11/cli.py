@@ -12,7 +12,6 @@ import csv
 import json
 import math
 import sys
-from dataclasses import dataclass
 
 from .characters import ELLIPTIC, character, character_compact
 from .errors import Su11Error
@@ -31,40 +30,29 @@ from .verify import SUITE_NAMES, run_suite
 _CSV_COLUMNS = ("command", "inputs", "value_re", "value_im", "expected_re", "abs_error")
 
 
-@dataclass(frozen=True)
-class OutputRecord:
-    command: str
-    inputs: dict
-    value_re: float
-    value_im: float
-    expected_re: float | None = None
-    abs_error: float | None = None
+def _record(command: str, inputs: dict, value, expected=None) -> dict:
+    """One output record; with an expected value it also carries the error."""
+    value = complex(value)
+    rec = {"command": command, "inputs": inputs,
+           "value_re": value.real, "value_im": value.imag}
+    if expected is not None:
+        rec["expected_re"] = complex(expected).real
+        rec["abs_error"] = abs(value - expected)
+    return rec
 
 
 def _emit(records, fmt: str, stream) -> None:
     if fmt == "json":
         for rec in records:
-            obj = {
-                "command": rec.command,
-                "inputs": rec.inputs,
-                "value_re": rec.value_re,
-                "value_im": rec.value_im,
-            }
-            if rec.expected_re is not None:
-                obj["expected_re"] = rec.expected_re
-                obj["abs_error"] = rec.abs_error
-            stream.write(json.dumps(obj, sort_keys=True) + "\n")
+            stream.write(json.dumps(rec, sort_keys=True) + "\n")
     else:
         writer = csv.writer(stream, lineterminator="\n")
         writer.writerow(_CSV_COLUMNS)
         for rec in records:
             writer.writerow([
-                rec.command,
-                json.dumps(rec.inputs, sort_keys=True),
-                repr(rec.value_re),
-                repr(rec.value_im),
-                "" if rec.expected_re is None else repr(rec.expected_re),
-                "" if rec.abs_error is None else repr(rec.abs_error),
+                rec["command"],
+                json.dumps(rec["inputs"], sort_keys=True),
+                *(repr(rec[key]) if key in rec else "" for key in _CSV_COLUMNS[2:]),
             ])
 
 
@@ -88,11 +76,14 @@ def _range_arg(text: str) -> range:
         ) from exc
 
 
-def _positive_int(text: str) -> int:
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"expected an integer >= 1, got {text!r}")
-    return value
+def _int_at_least(low: int):
+    """An argparse type: an integer >= low, else a usage error."""
+    def integer(text: str) -> int:
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(f"expected an integer >= {low}, got {text!r}")
+        return value
+    return integer
 
 
 def _cmd_elem(args) -> int:
@@ -102,11 +93,11 @@ def _cmd_elem(args) -> int:
         for n in args.n:
             for np_ in args.np:
                 value = matrix_element(args.eta, n, np_, g)
-                yield OutputRecord(
+                yield _record(
                     "elem",
                     {"eta": str(args.eta), "n": n, "np": np_,
                      "tau": args.tau, "phi": args.phi, "psi": args.psi},
-                    value.real, value.imag,
+                    value,
                 )
 
     _emit(records(), args.format, sys.stdout)
@@ -114,9 +105,6 @@ def _cmd_elem(args) -> int:
 
 
 def _cmd_character(args) -> int:
-    if (args.theta is None) == (args.alpha_re is None):
-        print("character: exactly one of --theta / --alpha-re is required", file=sys.stderr)
-        return 2
     if args.theta is not None:
         value = character_compact(args.eta, args.theta)
         inputs = {"eta": str(args.eta), "theta": args.theta, "regime": ELLIPTIC}
@@ -129,8 +117,7 @@ def _cmd_character(args) -> int:
         result = character(args.eta, g)
         value = result.value
         inputs = {"eta": str(args.eta), "alpha_re": a, "regime": result.regime}
-    _emit([OutputRecord("character", inputs, value.real, value.imag)],
-          args.format, sys.stdout)
+    _emit([_record("character", inputs, value)], args.format, sys.stdout)
     return 0
 
 
@@ -140,15 +127,13 @@ def _cmd_ortho(args) -> int:
     inputs = {"eta1": str(args.eta1), "eta2": str(args.eta2),
               "m": args.m, "mp": args.mp, "n": args.n, "np": args.np,
               "angular_selected": res.angular_selected, "method": "analytic"}
-    records = [OutputRecord("ortho", inputs, res.value, 0.0,
-                            res.expected, abs(res.value - res.expected))]
+    records = [_record("ortho", inputs, res.value, res.expected)]
     if args.mc:
         est = monte_carlo_haar(req, args.samples, args.seed)
         mc_inputs = dict(inputs)
         mc_inputs.update(method="monte_carlo", samples=args.samples,
                          seed=args.seed, stderr=est.stderr)
-        records.append(OutputRecord("ortho", mc_inputs, est.value, 0.0,
-                                    res.expected, abs(est.value - res.expected)))
+        records.append(_record("ortho", mc_inputs, est.value, res.expected))
     _emit(records, args.format, sys.stdout)
     return 0
 
@@ -157,27 +142,27 @@ def _cmd_tensor(args) -> int:
     records = []
     if args.eta3 is not None:
         mult = multiplicity(args.eta1, args.eta2, args.eta3)
-        records.append(OutputRecord(
+        records.append(_record(
             "tensor",
             {"eta1": str(args.eta1), "eta2": str(args.eta2), "eta3": str(args.eta3)},
-            float(mult), 0.0,
+            float(mult),
         ))
     elif args.certify:
         target = character_product(args.eta1, args.eta2, args.theta)
         approx = abel_character_sum_closed_form(args.eta1, args.eta2, args.theta, args.r)
-        records.append(OutputRecord(
+        records.append(_record(
             "tensor",
             {"eta1": str(args.eta1), "eta2": str(args.eta2),
              "theta": args.theta, "r": args.r, "check": "abel_residual"},
-            approx.real, approx.imag, target.real, abs(approx - target),
+            approx, target,
         ))
     else:
         for term in decompose(args.eta1, args.eta2, args.nmax).terms:
-            records.append(OutputRecord(
+            records.append(_record(
                 "tensor",
                 {"eta1": str(args.eta1), "eta2": str(args.eta2),
                  "eta3": str(term.eta3), "nmax": args.nmax},
-                float(term.multiplicity), 0.0,
+                float(term.multiplicity),
             ))
     _emit(records, args.format, sys.stdout)
     return 0
@@ -195,8 +180,7 @@ def _cmd_verify(args) -> int:
         all_passed &= passed
         inputs = {"suite": res.suite, "check": res.name, "tol": tol, "passed": passed,
                   **res.inputs}
-        records.append(OutputRecord("verify", inputs, res.measured, 0.0,
-                                    0.0, res.measured))
+        records.append(_record("verify", inputs, res.measured, 0.0))
     _emit(records, args.format, sys.stdout)
     if not all_passed:
         print("verify: one or more checks failed", file=sys.stderr)
@@ -227,8 +211,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("character", help="closed-form characters")
     p.add_argument("--eta", type=_eta_arg, required=True)
-    p.add_argument("--theta", type=float, default=None)
-    p.add_argument("--alpha-re", type=float, default=None, dest="alpha_re")
+    point = p.add_mutually_exclusive_group(required=True)
+    point.add_argument("--theta", type=float)
+    point.add_argument("--alpha-re", type=float, dest="alpha_re")
     add_format(p)
     p.set_defaults(func=_cmd_character)
 
@@ -240,7 +225,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--np", type=int, required=True)
     p.add_argument("--mc", action="store_true")
-    p.add_argument("--samples", type=_positive_int, default=200_000)
+    p.add_argument("--samples", type=_int_at_least(1), default=200_000)
     p.add_argument("--seed", type=int, default=42)
     add_format(p)
     p.set_defaults(func=_cmd_ortho)
@@ -258,8 +243,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="run a verification suite")
     p.add_argument("--suite", choices=(*SUITE_NAMES, "all"), default="all")
-    p.add_argument("--max-index", type=int, default=8, dest="max_index")
-    p.add_argument("--samples", type=int, default=200_000)
+    p.add_argument("--max-index", type=_int_at_least(0), default=8, dest="max_index")
+    p.add_argument("--samples", type=_int_at_least(0), default=200_000)
     p.add_argument("--seed", type=int, default=42)
     p.add_argument("--size", type=int, default=60)
     p.add_argument("--k", type=int, default=10)

@@ -137,17 +137,12 @@ def to_cartan(g: GroupElement) -> CartanCoords:
     canonical choice here is phi = 0 with psi absorbing the whole phase.
     """
     ab = abs(g.beta)
-    tau = 2.0 * math.asinh(ab)
     if ab == 0.0:
-        return CartanCoords(0.0, 0.0, _wrap_psi(2.0 * cmath.phase(g.alpha)))
+        return CartanCoords(0.0, 0.0, 2.0 * cmath.phase(g.alpha))
+    # CartanCoords wraps the raw angles and keeps alpha and beta unchanged.
     arg_a = cmath.phase(g.alpha)
     arg_b = cmath.phase(g.beta)
-    phi_raw = arg_a + arg_b
-    phi = _wrap_phi(phi_raw)
-    # phi was shifted by 2*pi*turns; compensate psi so alpha, beta are unchanged.
-    turns = round((phi_raw - phi) / TWO_PI)
-    psi = _wrap_psi(arg_a - arg_b - TWO_PI * turns)
-    return CartanCoords(tau, phi, psi)
+    return CartanCoords(2.0 * math.asinh(ab), arg_a + arg_b, arg_a - arg_b)
 
 
 def compact_element(theta: float) -> GroupElement:

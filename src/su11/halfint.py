@@ -6,6 +6,7 @@ the integer 2*eta and all label arithmetic happens on that integer.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -34,14 +35,17 @@ def _twice(value) -> int:
             pass
         raise InvalidParams(f"{value!r} is not an exact half-integer")
     if isinstance(value, str):
-        # Parse "2", "3/2" or "1.5" without rounding.
+        # Parse "2", "3/2" or "1.5" exactly: a decimal string never goes through float.
         s = value.strip()
         try:
             if "/" in s:
                 num, den = s.split("/")
                 return _twice(Fraction(int(num), int(den)))
             if any(ch in s for ch in ".eE"):
-                return _twice(float(s))
+                # Fraction expands the exponent in full, so bound the size first.
+                if not 1.0 <= float(s) < math.inf:
+                    raise ValueError(s)
+                return _twice(Fraction(s))
             return 2 * int(s)
         except (ValueError, ZeroDivisionError) as exc:
             raise InvalidParams(f"cannot parse {value!r} as a half-integer") from exc

@@ -22,18 +22,19 @@ step, the sign, log modulus and phase before the one complex exp, is public
 as matrix_element_polar for callers that need only moduli and phases.
 
 The same element in the hyperbolic-angle chart separates into a magnitude
-in x = 1 - 2 tanh^2(tau/2) and pure phases in phi and psi:
+in the chart's radial variables |z| = tanh(tau/2) and 1/|alpha| =
+sech(tau/2), and pure phases in phi and psi:
 
-    U_{n n'} = s * 2^{(n_< - n_>)/2 - eta} * (same sqrt prefactor)
-               * (1-x)^{(n_> - n_<)/2} (1+x)^{eta} P_{n_<}^{(n_> - n_<, 2 eta - 1)}(x)
+    U_{n n'} = s * (same sqrt prefactor)
+               * tanh(tau/2)^{n_> - n_<} sech(tau/2)^{2 eta} P_{n_<}^{(n_> - n_<, 2 eta - 1)}(x)
                * exp(-i (eta + n) phi) * exp(-i (eta + n') psi),
 
-with s = (-1)^{n' - n} for n' >= n and s = +1 otherwise.  The phase split is
-the one forced by factorizing the operator as rotation * boost * rotation
-(rotations act diagonally with phases exp(-i (eta + n) angle)); it is
-cross-checked against the algebraic form in the test suite.  The chart form
-does not use the kernel: it is the independent reference the algebraic one
-is checked against.
+with x = 1 - 2 tanh^2(tau/2), s = (-1)^{n' - n} for n' >= n and s = +1
+otherwise.  The phase split is the one forced by factorizing the operator
+as rotation * boost * rotation (rotations act diagonally with phases
+exp(-i (eta + n) angle)); it is cross-checked against the algebraic form in
+the test suite.  The chart form does not use the kernel: it is the
+independent reference the algebraic one is checked against.
 
 Pure functions throughout; MatrixBlock entries are frozen read-only arrays.
 """
@@ -124,22 +125,12 @@ def matrix_element_cartan(eta, n: int, n_prime: int, c: CartanCoords) -> complex
     if not math.isfinite(jac):
         raise InvalidParams("the Jacobi factor overflows double precision at these indices")
     pref = math.exp(0.5 * log_poch_ratio(te, big, m))
-    # 1 - x = 2 tanh^2(tau/2) and 1 + x = 2 sech^2(tau/2), taken from tau:
-    # 1 + x formed from the rounded x cancels to 0 once tanh(tau/2) rounds to 1.
-    t = math.tanh(0.5 * c.tau)
-    e = math.exp(-c.tau)
-    one_minus_x = 2.0 * t * t
-    one_plus_x = 8.0 * e / (1.0 + e) ** 2
-    magnitude = (
-        2.0 ** (0.5 * (m - big - te))
-        * one_minus_x ** (0.5 * (big - m))
-        * one_plus_x ** (0.5 * te)
-        * pref
-        * jac
-    )
+    # sech(tau/2) as 2 e^{-tau/2} / (1 + e^{-tau}): it underflows to 0 where cosh overflows.
+    e = math.exp(-0.5 * c.tau)
+    magnitude = math.tanh(0.5 * c.tau) ** (big - m) * (2.0 * e / (1.0 + e * e)) ** te * pref * jac
     sign = -1.0 if (n_prime > n and (n_prime - n) % 2 == 1) else 1.0
     angle = -0.5 * ((te + 2 * n) * c.phi + (te + 2 * n_prime) * c.psi)
-    return sign * magnitude * cmath.exp(1j * angle)
+    return sign * magnitude * cmath.exp(1j * angle) + 0.0  # + 0.0 turns -0.0 parts into +0.0
 
 
 def matrix_element_polar(eta, n: int, n_prime: int, abs2_alpha, z2, arg_alpha, arg_beta):

@@ -56,7 +56,7 @@ SUITE_NAMES = ("ortho", "unitary", "character", "tensor")
 
 _ETAS_ORTHO = ("1", "3/2", "2", "5/2", "3")
 _ETAS_SMALL = ("1", "3/2", "2")
-_TENSOR_LABELS = tuple(as_rep_label(t / 2.0) for t in range(2, 9))
+_TENSOR_LABELS = tuple(RepLabel(two_eta=t) for t in range(2, 9))
 # Distances 1 - r of the Abel dampings; residuals must fall as r -> 1.
 _GAPS = (0.1, 0.01, 0.001)
 _TENSOR_CASES = (("1", "1", 1.0), ("1", "3/2", 0.5), ("3/2", "2", math.pi),
@@ -250,9 +250,8 @@ def chart_form_consistency(seed: int) -> CheckResult:
         u = g.alpha.real
         if abs(u * u - 1.0) < 1e-3:
             continue
-        c = to_cartan(g)
         lhs = character(eta, g).value
-        rhs = character_cartan(eta, c.x, c.phi, c.psi).value
+        rhs = character_cartan(eta, to_cartan(g)).value
         worst = max(worst, abs(lhs - rhs) / (1.0 + abs(lhs)))
     return _check("character", "chart_form_consistency", worst, 1e-11, draws=100)
 
@@ -332,7 +331,7 @@ def spectrum_exact() -> CheckResult:
         top = l1.two_eta + l2.two_eta + 40
         for t3 in range(2, top + 1):
             expected = 1 if (t3 in present) else 0
-            if multiplicity(l1, l2, as_rep_label(t3 / 2.0)) != expected:
+            if multiplicity(l1, l2, RepLabel(two_eta=t3)) != expected:
                 mismatches += 1
         if decompose(l2, l1, 20).terms != dec.terms:
             mismatches += 1

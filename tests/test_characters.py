@@ -10,6 +10,7 @@ import pytest
 from su11 import (
     BOUNDARY_TOL,
     BoundaryConjugacyClass,
+    CartanCoords,
     ELLIPTIC,
     GroupElement,
     HYPERBOLIC,
@@ -30,6 +31,7 @@ from su11 import (
     damped_trace_sum,
     from_cartan,
     inverse,
+    matrix_element_cartan,
     multiply,
     to_cartan,
     trace_partial_sum,
@@ -92,7 +94,7 @@ def test_character_at_minus_g_is_the_centre_sign():
         for eta in ("1", "3/2", "2", "5/2"):
             expected = (-1) ** as_rep_label(eta).two_eta * character(eta, g).value
             assert character(eta, neg).value == expected
-            chart = character_cartan(eta, c.x, c.phi, c.psi).value
+            chart = character_cartan(eta, c).value
             assert chart == pytest.approx(expected, rel=1e-12)
 
 
@@ -133,21 +135,48 @@ def test_chart_form_matches_general():
             continue
         c = to_cartan(g)
         lhs = character("5/2", g)
-        rhs = character_cartan("5/2", c.x, c.phi, c.psi)
+        rhs = character_cartan("5/2", c)
         assert rhs.regime == lhs.regime
         assert rhs.value == pytest.approx(lhs.value, rel=1e-11, abs=1e-13)
         checked += 1
 
 
+@pytest.mark.parametrize("tau", [0.5, 2.0, 10.0, 20.0, 30.0, 38.0, 40.0, 60.0])
+def test_chart_form_matches_general_at_large_tau(tau):
+    # Classes with Re(alpha) in {3, -1.7, 0.5, -0.3}, hyperbolic and elliptic,
+    # as far out as x = 1 - 2 tanh^2(tau/2) rounds to -1 (tau >= 38).
+    for u in (3.0, -1.7, 0.5, -0.3):
+        cosh_half = math.cosh(0.5 * tau)
+        if abs(u) >= cosh_half:
+            continue
+        big_phi = 2.0 * math.acos(u / cosh_half)
+        c = CartanCoords(tau, 0.4 * big_phi + 0.1, 0.6 * big_phi - 0.1)
+        for eta in ("1", "3/2", "5/2", "7/2"):
+            lhs = character(eta, from_cartan(c))
+            rhs = character_cartan(eta, c)
+            assert rhs.regime == lhs.regime
+            assert abs(rhs.value - lhs.value) <= 1e-14 * abs(lhs.value)
+
+
+def test_chart_references_vanish_at_huge_tau():
+    # sech(tau/2) underflows to 0 here; cosh(tau/2) itself would overflow.
+    c = CartanCoords(1500.0, 0.3, -0.7)
+    for eta in ("1", "3/2", "7/2"):
+        assert character_cartan(eta, c).value == 0j
+        for n, np_ in [(0, 0), (3, 5), (5, 3)]:
+            assert matrix_element_cartan(eta, n, np_, c) == 0j
+
+
 def test_chart_form_reduces_to_compact_at_x_one():
     theta = 2.2
-    value = character_cartan("2", 1.0, theta, 0.0).value
+    value = character_cartan("2", CartanCoords(0.0, theta, 0.0)).value
     assert value == pytest.approx(character_compact("2", theta), rel=1e-12)
 
 
 def test_chart_form_boundary():
     with pytest.raises(BoundaryConjugacyClass):
-        character_cartan("1", 0.5, math.acos(0.5), 0.0)
+        # x = 1 - 2 tanh^2(tau/2) = 0.5 and cos(phi) = 0.5: (Re alpha)^2 = 1.
+        character_cartan("1", CartanCoords(2.0 * math.atanh(0.5), math.acos(0.5), 0.0))
 
 
 def test_class_function_under_conjugation():

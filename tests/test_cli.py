@@ -86,6 +86,11 @@ def test_character_theta_and_alpha_paths():
     assert rec["inputs"]["regime"] == "hyperbolic_conditional"
 
 
+def test_character_needs_exactly_one_class_option():
+    assert run_cli("character", "--eta", "1").returncode == 2
+    assert run_cli("character", "--eta", "1", "--theta", "1", "--alpha-re", "2").returncode == 2
+
+
 def test_character_boundary_exits_3():
     assert run_cli("character", "--eta", "1", "--theta", "0").returncode == 3
     assert run_cli("character", "--eta", "1", "--alpha-re", "1.0").returncode == 3
@@ -201,6 +206,13 @@ def test_verify_zero_samples_skips_monte_carlo():
     assert len(recs) == 22
     assert all(r["inputs"]["passed"] for r in recs)
     assert "monte_carlo_spot" not in {r["inputs"]["check"] for r in recs}
+
+
+def test_verify_rejects_negative_counts_as_usage_error():
+    for option in ("--samples", "--max-index"):
+        proc = run_cli("verify", "--suite", "ortho", option, "-3")
+        assert proc.returncode == 2
+        assert proc.stdout == ""
 
 
 def test_verify_tol_override_can_fail():

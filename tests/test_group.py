@@ -73,8 +73,10 @@ def test_rep_label_rejects_non_lattice_values():
         assert as_rep_label(value) == RepLabel(value) == RepLabel(two_eta=3)
     assert [str(as_rep_label(v)) for v in ("2", "3/2", "1.5", Fraction(5, 2), 4)] == [
         "2", "3/2", "3/2", "5/2", "4"]
+    assert [str(as_rep_label(v)) for v in ("1.5e0", "2.")] == ["3/2", "2"]
+    # Decimal strings parse exactly: these would round onto the lattice as floats.
     for bad in (True, 0.4, 2.25, Fraction(1, 3), float("nan"), float("inf"),
-                "x", "1/0", "1/2", 0):
+                "x", "1/0", "1/2", 0, "1.50000000000000001", "2.0000000000000001", "1e400"):
         with pytest.raises(InvalidParams):
             as_rep_label(bad)
     for bad in (1, 2.0, True):
