@@ -9,8 +9,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 
 from .errors import InvalidParams
+
+_TWO_ETA_MAX = 2**53  # the largest 2*eta with 1 - 2*eta exact in a double
 
 
 def _twice(value) -> int:
@@ -60,6 +63,9 @@ class RepLabel:
     as ``"3/2"`` or ``"1.5"``, or a RepLabel; ``RepLabel(two_eta=k)`` takes
     the integer 2*eta, by keyword only, so ``RepLabel(3)`` is eta = 3.  Labels
     below 1 are rejected: the weighted disk inner product degenerates there.
+    So are labels above 2**52, where 1 - 2*eta is no longer exact in a
+    double.  The bound keeps 1 - 2*eta exact, not the phases formed from it:
+    (1 - 2*eta) * theta still rounds by up to ulp(2*eta * theta) / 2.
     """
 
     two_eta: int
@@ -72,6 +78,8 @@ class RepLabel:
         object.__setattr__(self, "two_eta", two_eta)
         if two_eta < 2:
             raise InvalidParams(f"representation label must be >= 1, got {self}")
+        if two_eta > _TWO_ETA_MAX:
+            raise InvalidParams(f"representation label must be <= 2**52, got {self}")
 
     def __str__(self) -> str:
         if self.two_eta % 2 == 0:
@@ -80,5 +88,13 @@ class RepLabel:
 
 
 def as_rep_label(value) -> RepLabel:
-    """Coerce a RepLabel, number or string to a RepLabel."""
-    return value if isinstance(value, RepLabel) else RepLabel(value)
+    """Coerce a RepLabel, number or string to a RepLabel; a string is parsed once."""
+    if isinstance(value, RepLabel):
+        return value
+    return _parse_label(value) if isinstance(value, str) else RepLabel(value)
+
+
+@lru_cache(maxsize=64)
+def _parse_label(text: str) -> RepLabel:
+    # A refused string raises, and lru_cache keeps no exception, so it is refused again.
+    return RepLabel(text)

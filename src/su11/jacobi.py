@@ -20,6 +20,7 @@ import numpy as np
 from .errors import InvalidParams
 
 _FOLD = 1 << 14  # values in one block of a folded table (128 KB of doubles)
+_TABLE_DEGREE = 100  # a scalar call forms coefficient tables from this degree on
 
 
 def _finite(v) -> bool:
@@ -35,16 +36,17 @@ def jacobi_sequence(a, b: float, max_degree: int, x):
     or one per point); every lane performs the same floating-point operations
     as a scalar call, so its values agree bit for bit.
 
-    The recurrence's coefficients are formed before its loop, as tables with
-    one row per degree and, for an array ``a``, one column per lane; for a
-    scalar ``a`` they become Python floats, so the loop runs on floats.  An
-    array ``x`` is folded into the table a block of rows at a time, each
-    block holding at most 16384 values or a single row: quadrature nodes get
-    their whole table at once, and Monte Carlo points one row per block, so
-    no table grows with the number of points.  Each coefficient is the same
-    expression as in the textbook per-degree loop, so the values are
-    unchanged to the bit.  Forming the tables costs a fixed twenty or so
-    small numpy operations a call, which low degrees do not earn back.
+    A scalar ``a`` at a scalar ``x`` below degree 100 forms each step's
+    coefficients inside the loop, on Python floats.  Every other call forms
+    them before the loop, as tables with one row per degree and, for an
+    array ``a``, one column per lane; the tables cost a fixed twenty or so
+    small numpy operations, which only the longer loops earn back.  An array
+    ``x`` is folded into the table a block of rows at a time, each block
+    holding at most 16384 values or a single row: quadrature nodes get their
+    whole table at once, and Monte Carlo points one row per block, so no
+    table grows with the number of points.  Every lane runs to
+    ``max_degree``.  Each coefficient is the same expression as in the
+    textbook per-degree loop, so the values are unchanged to the bit.
 
     Parameters
     ----------
@@ -77,6 +79,22 @@ def jacobi_sequence(a, b: float, max_degree: int, x):
         return values
     apb = a + b
     values.append((a + 1.0) + (apb + 2.0) * (x - 1.0) / 2.0)
+    if not is_array and max_degree < _TABLE_DEGREE:
+        # The textbook loop, on Python floats as the tables' rows would be.
+        # Its coefficients are the tables' expressions below, term for term:
+        # an edit to one must be made to the other to keep them bit-identical.
+        apb, c4 = float(apb), float(a * a - b * b)
+        a, b, x = float(a), float(b), float(x)
+        p0, p1 = values
+        for n in map(float, range(2, max_degree + 1)):
+            two_n = 2.0 * n
+            s = two_n + apb
+            s_minus_2 = s - 2.0
+            p = ((s - 1.0) * (s * s_minus_2 * x + c4) * p1
+                 - 2.0 * (n + a - 1.0) * (n + b - 1.0) * s * p0) / (two_n * (n + apb) * s_minus_2)
+            p0, p1 = p1, p
+            values.append(p)
+        return values
     # Rows are degrees 2..max_degree; an array a adds its lane axes.
     n = np.arange(2.0, max_degree + 1)
     if isinstance(a, np.ndarray):
@@ -148,9 +166,12 @@ def log_poch_ratio(two_eta: int, n, m):
     accurate to ulps of those small sums rather than of lgamma values in the
     thousands.  Integer arrays n, m give it elementwise, bit for bit as scalars.
     """
-    if np.minimum(n, m).min() < 0:
+    if type(n) is int and type(m) is int:
+        low, top = min(n, m), max(n, m)
+    else:
+        low, top = np.minimum(n, m).min(), int(np.maximum(n, m).max())
+    if low < 0:
         raise InvalidParams("indices must be >= 0")
-    top = int(np.maximum(n, m).max())
     partial = _log_poch_partials(two_eta, 1 << top.bit_length())
     return partial[n] - partial[m]
 

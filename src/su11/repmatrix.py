@@ -75,7 +75,7 @@ def _polar(two_eta: int, n_less, offset, upper, abs2_alpha, z2, arg_alpha, arg_b
     written as arithmetic on booleans, so a scalar entry costs a handful of
     numpy calls.
     """
-    if not np.isfinite(jac).all():
+    if not (math.isfinite(jac) if isinstance(jac, float) else np.isfinite(jac).all()):
         raise InvalidParams("the Jacobi factor overflows double precision at these indices")
     keep = (jac != 0.0) & ((offset == 0) | (z2 != 0.0))
     # Adding the boolean "== 0" turns a zero into 1, so every log is finite.

@@ -91,6 +91,13 @@ def test_character_needs_exactly_one_class_option():
     assert run_cli("character", "--eta", "1", "--theta", "1", "--alpha-re", "2").returncode == 2
 
 
+def test_character_refuses_label_past_double_precision():
+    # At eta = 1e30, float(1 - 2 eta) drops the 1 and the phase is off by ~1e13 rad.
+    proc = run_cli("character", "--eta", "1e30", "--theta", "1")
+    assert proc.returncode == 2
+    assert "2**52" in proc.stderr and proc.stdout == ""
+
+
 def test_character_boundary_exits_3():
     assert run_cli("character", "--eta", "1", "--theta", "0").returncode == 3
     assert run_cli("character", "--eta", "1", "--alpha-re", "1.0").returncode == 3

@@ -84,6 +84,18 @@ def test_rep_label_rejects_non_lattice_values():
             RepLabel(two_eta=bad)
     with pytest.raises(InvalidParams):
         RepLabel("3/2", two_eta=3)
+    # Parsed strings are cached: True (== 1, with the same hash) is still
+    # refused once "1" and 1 are parsed, and a refused string is refused again.
+    assert as_rep_label("1") == as_rep_label(1) == RepLabel(1)
+    for bad in (True, "1/2", "1/2"):
+        with pytest.raises(InvalidParams):
+            as_rep_label(bad)
+    # Above 2*eta = 2**53, 1 - 2*eta is not exact in a double: refused either way.
+    assert RepLabel(two_eta=2**53).two_eta == as_rep_label(str(2**52)).two_eta == 2**53
+    for make in (lambda: RepLabel(two_eta=2**53 + 1), lambda: RepLabel(2**52 + 1),
+                 lambda: as_rep_label(f"{2**53 + 1}/2"), lambda: as_rep_label("1e30")):
+        with pytest.raises(InvalidParams):
+            make()
 
 
 def test_cartan_ranges_normalized():

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from su11 import InvalidParams, gauss_legendre, jacobi_sequence, log_poch_ratio
-from su11.jacobi import _FOLD
+from su11.jacobi import _FOLD, _TABLE_DEGREE
 from su11.verify import gr_7391
 
 
@@ -205,6 +205,12 @@ def test_recurrence_matches_textbook_loop_bit_for_bit():
             a = float(rng.integers(0, 300)) if integer else float(rng.uniform(-0.9, 300.0))
             degree = int(rng.integers(0, 401))
             for x in (1.0, -1.0, float(rng.uniform(-1.0, 1.0))):
+                assert_same_bits(jacobi_sequence(a, b, degree, x),
+                                 textbook_jacobi_sequence(a, b, degree, x))
+            # Scalar calls at the lowest degrees and on both sides of the
+            # switch from the per-step loop to the tables.
+            for degree in (0, 1, 2, _TABLE_DEGREE - 1, _TABLE_DEGREE, _TABLE_DEGREE + 1):
+                x = float(rng.uniform(-1.0, 1.0))
                 assert_same_bits(jacobi_sequence(a, b, degree, x),
                                  textbook_jacobi_sequence(a, b, degree, x))
             # Lane calls, one exponent per lane, as blocks make them.

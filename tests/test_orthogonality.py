@@ -237,6 +237,33 @@ def test_monte_carlo_deterministic():
     assert c.value != a.value
 
 
+def test_monte_carlo_slices_leave_every_estimate_unchanged():
+    # 230 001 samples: a full 200 000-draw chunk in four slices, then a
+    # chunk of 30 001 in one partial slice.  Both estimates equal the loop
+    # that evaluates each chunk's integrand whole, to the bit.
+    def unsliced(req, samples, seed):
+        rng = np.random.default_rng(seed)
+        total = total_sq = 0.0
+        remaining = samples
+        while remaining > 0:
+            count = min(200_000, remaining)
+            tau = rng.uniform(0.0, 12.0, count)
+            phi = rng.uniform(0.0, 2.0 * math.pi, count)
+            psi = rng.uniform(-2.0 * math.pi, 2.0 * math.pi, count)
+            f = haar_integrand(req, tau, phi, psi)
+            total += float(np.sum(f))
+            total_sq += float(np.sum(f * f))
+            remaining -= count
+        mean = total / samples
+        variance = max(total_sq / samples - mean * mean, 0.0) / samples
+        return 12.0 * mean, 12.0 * math.sqrt(variance)
+
+    for case in [("3/2", "3/2", 1, 2, 1, 2), ("2", "1", 0, 0, 1, 1)]:
+        req = OrthoRequest(*case)
+        est = monte_carlo_haar(req, 230_001, seed=4)
+        assert [est.value.hex(), est.stderr.hex()] == [v.hex() for v in unsliced(req, 230_001, 4)]
+
+
 def test_monte_carlo_validation():
     req = OrthoRequest("1", "1", 0, 0, 0, 0)
     # Zero samples, non-int counts or seeds, and negative seeds are refused.

@@ -236,6 +236,9 @@ def test_jacobi_overflow_is_refused():
             matrix_element_batch("1", 600, 1300, [g.alpha], [g.beta])
         with pytest.raises(InvalidParams):
             matrix_element_cartan("1", 600, 1300, to_cartan(g))
+        # Index arrays, whose lanes run on one recurrence, refuse it the same way.
+        with pytest.raises(InvalidParams):
+            matrix_element_batch("1", np.array([600, 0]), np.array([1300, 0]), g.alpha, g.beta)
 
 
 def test_polar_form_matches_scalar_and_refuses_overflow():
@@ -288,17 +291,23 @@ def test_logspace_survives_where_direct_overflows():
 
 def test_block_entries_match_scalar_bit_for_bit():
     g = from_cartan(1.3, 0.8, -2.2)
-    for eta in ("1", "5/2"):
-        block = truncated_operator(eta, g, 12)
-        for i in range(12):
-            for j in range(12):
-                assert block.entries[i, j] == matrix_element(eta, i, j, g)
-    rng = np.random.default_rng(180)
-    block = truncated_operator("3/2", g, 180)
-    cells = [(i, j) for i, j in rng.integers(0, 180, (200, 2))]
-    cells += [(179, 179), (0, 179), (179, 0), (171, 169), (169, 171)]
-    for i, j in cells:
-        assert block.entries[i, j] == matrix_element("3/2", int(i), int(j), g)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        for eta, size in (("1", 12), ("5/2", 12), ("2", 1), ("2", 2)):
+            block = truncated_operator(eta, g, size)
+            for i in range(size):
+                for j in range(size):
+                    assert block.entries[i, j] == matrix_element(eta, i, j, g)
+        rng = np.random.default_rng(180)
+        for size in (179, 180, 181):
+            block = truncated_operator("3/2", g, size)
+            # The last row and column hold every offset's lane at its own last degree.
+            last = size - 1
+            cells = [(i, j) for i, j in rng.integers(0, size, (200, 2))]
+            cells += [(last, j) for j in range(size)] + [(i, last) for i in range(size)]
+            cells += [(171, 169), (169, 171)]
+            for i, j in cells:
+                assert block.entries[i, j] == matrix_element("3/2", int(i), int(j), g)
 
 
 def test_centre_acts_by_its_sign_on_blocks():
