@@ -38,7 +38,6 @@ from .halfint import as_rep_label
 from .repmatrix import matrix_element_batch
 
 BOUNDARY_TOL = 1e-9
-_SIN_TOL = 1e-12
 
 # The hyperbolic diagonal series converges only conditionally (terms ~ n^{-1/2}).
 HYPERBOLIC = "hyperbolic_conditional"
@@ -120,10 +119,19 @@ def character_cartan(eta, c: CartanCoords) -> CharacterValue:
 
 
 def _half_sine(theta: float) -> float:
-    """sin(theta/2); a non-finite angle names no class and is refused."""
+    """sin(theta/2) for theta in (0, 2*pi), outside the window ``character`` refuses.
+
+    At h(theta), (Re alpha)^2 - 1 = -sin^2(theta/2): SingularAngle where that
+    is within BOUNDARY_TOL of 0, else UnsupportedClass for any other angle.
+    """
     if not math.isfinite(theta):
         raise UnsupportedClass(f"theta must be finite, got {theta!r}")
-    return math.sin(0.5 * theta)
+    s = math.sin(0.5 * theta)
+    if s * s <= BOUNDARY_TOL:
+        raise SingularAngle(f"sin(theta/2)^2 = {s * s!r} is too close to 0 at theta = {theta!r}")
+    if not 0.0 < theta < TWO_PI:
+        raise UnsupportedClass(f"theta must lie in (0, 2*pi), got {theta!r}")
+    return s
 
 
 def character_compact(eta, theta: float) -> complex:
@@ -135,10 +143,6 @@ def character_compact(eta, theta: float) -> complex:
     """
     label = as_rep_label(eta)
     s = _half_sine(theta)
-    if abs(s) < _SIN_TOL:
-        raise SingularAngle(f"sin(theta/2) vanishes at theta = {theta!r}")
-    if not 0.0 < theta < TWO_PI:
-        raise UnsupportedClass(f"theta must lie in (0, 2*pi), got {theta!r}")
     return cmath.exp(0.5j * (1 - label.two_eta) * theta) / (2j * s)
 
 
@@ -173,13 +177,13 @@ def abel_trace(eta, theta: float, r: float, terms: int) -> complex:
     """Damped diagonal sum at h(theta): sum_{n < terms} r^n exp(-i (eta + n) theta).
 
     The elliptic diagonal series has unit-modulus terms, so only this damped
-    form converges; as r -> 1 it tends to the compact character.
+    form converges; as r -> 1 it tends to the compact character, and it
+    takes the angles that ``character_compact`` takes.
     """
     label = as_rep_label(eta)
     if not 0.0 < r < 1.0:
         raise InvalidDamping(f"damping must lie in (0, 1), got {r}")
-    if abs(_half_sine(theta)) < _SIN_TOL:
-        raise SingularAngle(f"sin(theta/2) vanishes at theta = {theta!r}")
+    _half_sine(theta)
     if terms < 0:
         raise InvalidParams(f"terms must be >= 0, got {terms}")
     n = np.arange(terms)

@@ -13,18 +13,22 @@ concurrent use needs no locking.
 from __future__ import annotations
 
 import math
+from contextlib import nullcontext
 from functools import lru_cache
 
 import numpy as np
 
 from .errors import InvalidParams
 
-_FOLD = 1 << 14  # values in one block of a folded table (128 KB of doubles)
 _TABLE_DEGREE = 100  # a scalar call forms coefficient tables from this degree on
+_BOUND = 2.0 ** 53  # the largest |a|, |b| and |x| taken: no coefficient can overflow
 
 
-def _finite(v) -> bool:
-    return bool(np.isfinite(v).all()) if isinstance(v, np.ndarray) else math.isfinite(v)
+def _in_range(v) -> bool:
+    """-1 < v <= 2**53, for a float or every entry of an array; never for NaN."""
+    if isinstance(v, np.ndarray):
+        return bool(np.all((-1.0 < v) & (v <= _BOUND)))
+    return -1.0 < v <= _BOUND
 
 
 def jacobi_sequence(a, b: float, max_degree: int, x):
@@ -38,26 +42,29 @@ def jacobi_sequence(a, b: float, max_degree: int, x):
 
     A scalar ``a`` at a scalar ``x`` below degree 100 forms each step's
     coefficients inside the loop, on Python floats.  Every other call forms
-    them before the loop, as tables with one row per degree and, for an
-    array ``a``, one column per lane; the tables cost a fixed twenty or so
-    small numpy operations, which only the longer loops earn back.  An array
-    ``x`` is folded into the table a block of rows at a time, each block
-    holding at most 16384 values or a single row: quadrature nodes get their
-    whole table at once, and Monte Carlo points one row per block, so no
-    table grows with the number of points.  Every lane runs to
-    ``max_degree``.  Each coefficient is the same expression as in the
-    textbook per-degree loop, so the values are unchanged to the bit.
+    them before the loop, as one table with a row per degree and the lane
+    axes of an array ``a`` or ``x`` last; its fixed twenty or so small numpy
+    operations only the longer loops earn back.  Each coefficient is the
+    textbook loop's expression, so the values are unchanged to the bit.
+
+    Inputs are bounded by 2**53, which bounds 2*eta - 1 for every label, so
+    no coefficient overflows, but the recurrence can.  A scalar ``a`` whose
+    last value is not finite is refused with InvalidParams; a step that is
+    not finite never becomes finite again, so that one check covers every
+    degree.  An array ``a`` runs every lane to ``max_degree``, and a lane
+    that overflows holds inf or NaN from there on, without a warning; its
+    caller keeps the degrees it needs and checks those.
 
     Parameters
     ----------
     a : float or ndarray
-        First weight exponent(s), each finite and > -1.
+        First weight exponent(s), each in (-1, 2**53].
     b : float
-        Second weight exponent, finite and > -1.
+        Second weight exponent, in (-1, 2**53].
     max_degree : int
         Highest degree to evaluate, an int >= 0.
     x : float or ndarray
-        Finite evaluation point(s).
+        Evaluation point(s), each with |x| <= 2**53.
 
     Returns
     -------
@@ -65,11 +72,10 @@ def jacobi_sequence(a, b: float, max_degree: int, x):
         ``[P_0(x), ..., P_max_degree(x)]``, scalars or arrays of the shape
         ``a`` and ``x`` broadcast to.
     """
-    is_array = isinstance(a, np.ndarray) or isinstance(x, np.ndarray)
-    if not (_finite(a) and math.isfinite(b) and _finite(x)):
-        raise InvalidParams(f"Jacobi exponents and x must be finite, got ({a}, {b}) at {x}")
-    if (np.min(a) if is_array else a) <= -1.0 or b <= -1.0:
-        raise InvalidParams(f"Jacobi exponents must exceed -1, got ({a}, {b})")
+    lanes = isinstance(a, np.ndarray)
+    is_array = lanes or isinstance(x, np.ndarray)
+    if not (_in_range(a) and _in_range(b) and _in_range(abs(x))):
+        raise InvalidParams(f"need -1 < a, b <= 2**53 and |x| <= 2**53, got ({a}, {b}) at {x}")
     if isinstance(max_degree, bool) or not isinstance(max_degree, (int, np.integer)):
         raise InvalidParams(f"max_degree must be an int, got {max_degree!r}")
     if max_degree < 0:
@@ -80,8 +86,8 @@ def jacobi_sequence(a, b: float, max_degree: int, x):
     apb = a + b
     values.append((a + 1.0) + (apb + 2.0) * (x - 1.0) / 2.0)
     if not is_array and max_degree < _TABLE_DEGREE:
-        # The textbook loop, on Python floats as the tables' rows would be.
-        # Its coefficients are the tables' expressions below, term for term:
+        # The textbook loop, on Python floats as the table's rows would be.
+        # Its coefficients are the table's expressions below, term for term:
         # an edit to one must be made to the other to keep them bit-identical.
         apb, c4 = float(apb), float(a * a - b * b)
         a, b, x = float(a), float(b), float(x)
@@ -94,52 +100,44 @@ def jacobi_sequence(a, b: float, max_degree: int, x):
                  - 2.0 * (n + a - 1.0) * (n + b - 1.0) * s * p0) / (two_n * (n + apb) * s_minus_2)
             p0, p1 = p1, p
             values.append(p)
-        return values
-    # Rows are degrees 2..max_degree; an array a adds its lane axes.
-    n = np.arange(2.0, max_degree + 1)
-    if isinstance(a, np.ndarray):
-        n = n.reshape((-1,) + (1,) * a.ndim)
-    two_n = 2.0 * n
-    s = two_n + apb
-    s_minus_2 = s - 2.0
-    c1 = two_n * (n + apb) * s_minus_2
-    c2 = s - 1.0
-    c3 = s * s_minus_2
-    c4 = a * a - b * b
-    c5 = 2.0 * (n + a - 1.0) * (n + b - 1.0) * s
-    # A table's rows: Python floats for a scalar a, since numpy scalars are
-    # slower operands, and arrays over the lanes for an array a.
-    rows = iter if isinstance(a, np.ndarray) else np.ndarray.tolist
-    if isinstance(x, np.ndarray):
-        # The lane axes, if any, stay last, so x broadcasts as in one row.
-        shape = c2.shape[:1] + (1,) * (values[0].ndim + 1 - c2.ndim) + c2.shape[1:]
-        c23 = _folded_rows(c2.reshape(shape), c3.reshape(shape), c4, x, values[0].size)
     else:
-        c23 = rows(c2 * (c3 * x + c4))
-    p0, p1 = values
-    for k1, k5, p in zip(rows(c1), rows(c5), c23):
-        # In place on the table's own row, so an array step allocates only k5 * p0.
-        p *= p1
-        p -= k5 * p0
-        p /= k1
-        p0, p1 = p1, p
-        values.append(p)
+        # Rows are degrees 2..max_degree; an array a adds its lane axes.
+        n = np.arange(2.0, max_degree + 1)
+        if lanes:
+            n = n.reshape((-1,) + (1,) * a.ndim)
+        two_n = 2.0 * n
+        s = two_n + apb
+        s_minus_2 = s - 2.0
+        c1 = two_n * (n + apb) * s_minus_2
+        c2 = s - 1.0
+        c3 = s * s_minus_2
+        c5 = 2.0 * (n + a - 1.0) * (n + b - 1.0) * s
+        if isinstance(x, np.ndarray):
+            # The axes of x go between the rows and the lane axes, so x
+            # broadcasts as in one row.
+            shape = c2.shape[:1] + (1,) * (values[0].ndim + 1 - c2.ndim) + c2.shape[1:]
+            c2, c3 = c2.reshape(shape), c3.reshape(shape)
+        # c2 (c3 x + c4), in place: the same rounded operations, with no
+        # temporary per operation.
+        c23 = c3 * x
+        c23 += a * a - b * b
+        c23 *= c2
+        # Scalar rows as Python floats, faster operands than numpy scalars;
+        # array rows are stepped in place, so a step allocates only k5 * p0.
+        coefficients = iter if lanes else np.ndarray.tolist
+        p0, p1 = values
+        with np.errstate(over="ignore", invalid="ignore") if is_array else nullcontext():
+            for k1, k5, p in zip(coefficients(c1), coefficients(c5),
+                                 iter(c23) if is_array else c23.tolist()):
+                p *= p1
+                p -= k5 * p0
+                p /= k1
+                p0, p1 = p1, p
+                values.append(p)
+    last = values[-1]
+    if not lanes and not (np.isfinite(last).all() if is_array else math.isfinite(last)):
+        raise InvalidParams(f"P_{max_degree}^({a}, {b}) overflows double precision")
     return values
-
-
-def _folded_rows(c2, c3, c4, x, size: int):
-    """Rows of c2 (c3 x + c4), a block of at most _FOLD values (or one row) at a time.
-
-    A table with x folded in whole would grow with the points.  Each block
-    is formed in place, as c3 x, then + c4, then times c2: the same rounded
-    operations as the expression, without a temporary per operation.
-    """
-    k = max(1, _FOLD // max(1, size))
-    for i in range(0, len(c2), k):
-        block = c3[i:i + k] * x
-        block += c4
-        block *= c2[i:i + k]
-        yield from block
 
 
 @lru_cache(maxsize=32)

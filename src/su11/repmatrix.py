@@ -70,13 +70,11 @@ def _polar(two_eta: int, n_less, offset, upper, abs2_alpha, z2, arg_alpha, arg_b
     factor P_{n_<}^{(d, 2 eta - 1)}.  All arguments broadcast; ``upper`` marks
     n' >= n, where gamma = -beta.  The sign is 0 for entries with a zero
     Jacobi factor, or with d > 0 at beta = 0, which keeps the identity block
-    exact and compact elements diagonal.  A Jacobi factor beyond double range
-    is refused rather than turned into inf or NaN entries.  The masks are
-    written as arithmetic on booleans, so a scalar entry costs a handful of
-    numpy calls.
+    exact and compact elements diagonal.  The Jacobi factor is finite: a
+    recurrence that overflows is refused by jacobi_sequence, or, for lanes,
+    by matrix_element_batch.  The masks are written as arithmetic on
+    booleans, so a scalar entry costs a handful of numpy calls.
     """
-    if not (math.isfinite(jac) if isinstance(jac, float) else np.isfinite(jac).all()):
-        raise InvalidParams("the Jacobi factor overflows double precision at these indices")
     keep = (jac != 0.0) & ((offset == 0) | (z2 != 0.0))
     # Adding the boolean "== 0" turns a zero into 1, so every log is finite.
     log_mag = (
@@ -122,8 +120,6 @@ def matrix_element_cartan(eta, n: int, n_prime: int, c: CartanCoords) -> complex
     if m < 0:
         raise InvalidParams("basis indices must be >= 0")
     jac = jacobi_sequence(float(big - m), float(te - 1), m, c.x)[-1]
-    if not math.isfinite(jac):
-        raise InvalidParams("the Jacobi factor overflows double precision at these indices")
     pref = math.exp(0.5 * log_poch_ratio(te, big, m))
     # sech(tau/2) as 2 e^{-tau/2} / (1 + e^{-tau}): it underflows to 0 where cosh overflows.
     e = math.exp(-0.5 * c.tau)
@@ -140,16 +136,15 @@ def matrix_element_polar(eta, n: int, n_prime: int, abs2_alpha, z2, arg_alpha, a
     |beta|^2 / |alpha|^2, arg(alpha) and arg(beta), as scalars or parallel
     arrays.  A caller that needs only moduli and phase differences, such as
     Monte Carlo integration over the group, forms no complex number.  This
-    is the kernel that matrix_element exponentiates, for one index pair; it
-    refuses a Jacobi factor beyond double range with InvalidParams.
+    is the kernel that matrix_element exponentiates, for one index pair;
+    jacobi_sequence refuses a Jacobi factor beyond double range with
+    InvalidParams.
     """
     label = as_rep_label(eta)
     m, d = min(n, n_prime), abs(n_prime - n)
     if m < 0:
         raise InvalidParams("basis indices must be >= 0")
-    # An overflowing Jacobi factor is refused by the kernel, not warned about.
-    with np.errstate(over="ignore", invalid="ignore"):
-        jac = jacobi_sequence(float(d), float(label.two_eta - 1), m, 1.0 - 2.0 * z2)[-1]
+    jac = jacobi_sequence(float(d), float(label.two_eta - 1), m, 1.0 - 2.0 * z2)[-1]
     return _polar(label.two_eta, m, d, n_prime >= n, abs2_alpha, z2, arg_alpha, arg_beta, jac)
 
 
@@ -160,7 +155,9 @@ def matrix_element_batch(eta, n, n_prime, alpha, beta) -> np.ndarray:
     entries of valid elements, or integer arrays n and n' broadcast over a
     single element, as in a truncated block or a diagonal trace.  The Jacobi
     recurrence runs once, with one lane per offset n_> - n_<, and each entry
-    over a single element equals matrix_element bit for bit.
+    over a single element equals matrix_element bit for bit.  Lanes past an
+    offset's last needed degree may overflow; they are discarded, and a
+    kept Jacobi factor beyond double range is refused with InvalidParams.
     """
     label = as_rep_label(eta)
     n, n_prime = np.asarray(n), np.asarray(n_prime)
@@ -176,14 +173,13 @@ def matrix_element_batch(eta, n, n_prime, alpha, beta) -> np.ndarray:
     m = np.minimum(n, n_prime)
     d = np.abs(n_prime - n)
     b = float(label.two_eta - 1)
-    # Lanes past an offset's last needed degree may overflow; they are
-    # discarded, and the kernel refuses any kept value that is not finite.
-    with np.errstate(over="ignore", invalid="ignore"):
-        if np.min(d) == np.max(d):
-            jac = np.asarray(jacobi_sequence(float(np.max(d)), b, int(np.max(m)), xarg))[m]
-        else:
-            lanes = np.arange(np.max(d) + 1.0)
-            jac = np.asarray(jacobi_sequence(lanes, b, int(np.max(m)), xarg))[m, d]
+    if np.min(d) == np.max(d):
+        jac = np.asarray(jacobi_sequence(float(np.max(d)), b, int(np.max(m)), xarg))[m]
+    else:
+        lanes = np.arange(np.max(d) + 1.0)
+        jac = np.asarray(jacobi_sequence(lanes, b, int(np.max(m)), xarg))[m, d]
+        if not np.isfinite(jac).all():
+            raise InvalidParams("the Jacobi factor overflows double precision at these indices")
     return _assemble(label.two_eta, m, d, n_prime >= n, alpha, beta, jac)
 
 

@@ -119,6 +119,16 @@ def test_compact_angle_domain():
         character_compact("1", 2.0 * math.pi + 1.0)
     with pytest.raises(UnsupportedClass):
         character_compact("1", -0.4)
+    # The window character refuses at compact_element(theta), where
+    # (Re alpha)^2 - 1 = -sin^2(theta/2): both sides of it, at both ends.
+    for theta in (1e-5, 2.0 * math.pi - 1e-5):
+        with pytest.raises(BoundaryConjugacyClass):
+            character("1", compact_element(theta))
+        with pytest.raises(SingularAngle):
+            character_compact("1", theta)
+    for theta in (1e-4, 2.0 * math.pi - 1e-4):
+        assert character_compact("1", theta) == pytest.approx(
+            character("1", compact_element(theta)).value, rel=1e-9)
 
 
 # ----------------------------------------------------------------------
@@ -378,6 +388,12 @@ def test_abel_trace_validation():
         abel_trace("1", 1.0, 1.0, 10)
     with pytest.raises(SingularAngle):
         abel_trace("1", 0.0, 0.5, 10)
+    # The compact characters' window and angles, (0, 2*pi) away from its ends.
+    with pytest.raises(SingularAngle):
+        abel_trace("1", 1e-5, 0.5, 10)
+    for theta in (7.0, -0.5):
+        with pytest.raises(UnsupportedClass):
+            abel_trace("1", theta, 0.9, 10)
     # The closed form also takes r = 1, the Abel limit, which is singular at
     # alpha = +-1 as character(IDENTITY) is.
     for r in (0.0, 1.5, -0.5):

@@ -1,5 +1,6 @@
 """Tests for the Jacobi / quadrature kernel against independent oracles."""
 import math
+import warnings
 from fractions import Fraction
 from itertools import product
 
@@ -7,7 +8,7 @@ import numpy as np
 import pytest
 
 from su11 import InvalidParams, gauss_legendre, jacobi_sequence, log_poch_ratio
-from su11.jacobi import _FOLD, _TABLE_DEGREE
+from su11.jacobi import _TABLE_DEGREE
 from su11.verify import gr_7391
 
 
@@ -160,6 +161,39 @@ def test_non_finite_inputs_rejected():
         jacobi_sequence(1.0, 1.0, 0, math.inf)
 
 
+def test_bounded_inputs_only():
+    # Exponents and points within 2**53 in magnitude: no coefficient can
+    # overflow, so an input past the bound is refused, not warned about.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        for a, b, x in [(1e300, 1.0, -0.9), (1.0, 2.0**54, 0.3), (1.0, 1.0, 1e300)]:
+            with pytest.raises(InvalidParams):
+                jacobi_sequence(a, b, 150, x)
+        with pytest.raises(InvalidParams):
+            jacobi_sequence(np.array([1.0, 2.0**54]), 1.0, 150, 0.3)
+        with pytest.raises(InvalidParams):
+            jacobi_sequence(1.0, 1.0, 150, np.array([0.3, -1e300]))
+        assert math.isfinite(jacobi_sequence(2.0**53, 2.0**53, 3, -2.0**53)[-1])
+
+
+def test_overflowing_recurrence_is_refused_for_a_scalar_exponent():
+    # P_600^{(700, 1)} near x = 1 is beyond double range.
+    x = 1.0 - 2.0 * math.tanh(0.05) ** 2
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        # On both sides of the switch from the per-step loop to the table.
+        for a, degree in [(1e6, _TABLE_DEGREE - 1), (700.0, 600)]:
+            with pytest.raises(InvalidParams):
+                jacobi_sequence(a, 1.0, degree, x)
+        with pytest.raises(InvalidParams):
+            jacobi_sequence(700.0, 1.0, 600, np.array([x, 0.0]))
+        # Lanes run to the top degree whatever they overflow to; the caller
+        # keeps the degrees it needs, so nothing is refused or warned about.
+        values = np.asarray(jacobi_sequence(np.arange(600.0), 1.0, 599, x))
+    assert np.count_nonzero(~np.isfinite(values)) == 17_849
+    assert np.isfinite(values[:, 0]).all()
+
+
 def test_non_integer_degree_rejected():
     for degree in (3.0, 2.5, True, False, "3", None):
         with pytest.raises(InvalidParams):
@@ -197,53 +231,51 @@ def assert_same_bits(got, expected):
 
 def test_recurrence_matches_textbook_loop_bit_for_bit():
     rng = np.random.default_rng(8)
-    with np.errstate(over="ignore", invalid="ignore"):
-        for i in range(120):
-            integer = i % 2 == 0
-            b = float(rng.integers(0, 12)) if integer else float(rng.uniform(-0.9, 12.0))
-            # Scalar calls to degree 400 at both endpoints and inside.
-            a = float(rng.integers(0, 300)) if integer else float(rng.uniform(-0.9, 300.0))
-            degree = int(rng.integers(0, 401))
-            for x in (1.0, -1.0, float(rng.uniform(-1.0, 1.0))):
-                assert_same_bits(jacobi_sequence(a, b, degree, x),
-                                 textbook_jacobi_sequence(a, b, degree, x))
-            # Scalar calls at the lowest degrees and on both sides of the
-            # switch from the per-step loop to the tables.
-            for degree in (0, 1, 2, _TABLE_DEGREE - 1, _TABLE_DEGREE, _TABLE_DEGREE + 1):
-                x = float(rng.uniform(-1.0, 1.0))
-                assert_same_bits(jacobi_sequence(a, b, degree, x),
-                                 textbook_jacobi_sequence(a, b, degree, x))
-            # Lane calls, one exponent per lane, as blocks make them.
-            size = int(rng.integers(1, 201))
-            lanes = np.arange(float(size)) if integer else rng.uniform(-0.9, 40.0, size)
-            x = (1.0, -1.0, float(rng.uniform(-1.0, 1.0)))[i % 3]
-            assert_same_bits(jacobi_sequence(lanes, b, size - 1, x),
-                             textbook_jacobi_sequence(lanes, b, size - 1, x))
-        # Point calls, with x folded into the table a block of rows at a time:
-        # Monte Carlo batches (low degree, many points: one row per block),
-        # quadrature nodes (degree up to the rule's order: one or two blocks),
-        # several rows per block with a partial last block, and one point
-        # past a single block's size.
-        for degree, a, b in [(0, 0.0, 1.0), (1, 2.0, 1.0), (3, 1.0, 4.0), (6, 3.0, 2.0)]:
-            x = 1.0 - 2.0 * rng.uniform(0.0, 1.0, 40_000) ** 2
+    for i in range(120):
+        integer = i % 2 == 0
+        b = float(rng.integers(0, 12)) if integer else float(rng.uniform(-0.9, 12.0))
+        # Scalar calls to degree 400 at both endpoints and inside.
+        a = float(rng.integers(0, 300)) if integer else float(rng.uniform(-0.9, 300.0))
+        degree = int(rng.integers(0, 401))
+        for x in (1.0, -1.0, float(rng.uniform(-1.0, 1.0))):
             assert_same_bits(jacobi_sequence(a, b, degree, x),
                              textbook_jacobi_sequence(a, b, degree, x))
-        for degree, a, b in [(5, 0.0, 1.0), (50, 3.0, 4.0), (150, 100.0, 3.0)]:
-            x = np.append(gauss_legendre(degree + 2)[0], [-1.0, 1.0])
+        # Scalar calls at the lowest degrees and on both sides of the
+        # switch from the per-step loop to the tables.
+        for degree in (0, 1, 2, _TABLE_DEGREE - 1, _TABLE_DEGREE, _TABLE_DEGREE + 1):
+            x = float(rng.uniform(-1.0, 1.0))
             assert_same_bits(jacobi_sequence(a, b, degree, x),
                              textbook_jacobi_sequence(a, b, degree, x))
-        for size, degree, a, b in [(5000, 40, 7.0, 2.0), (_FOLD + 1, 12, 0.5, 3.0)]:
-            x = np.append(rng.uniform(-1.0, 1.0, size - 2), [-1.0, 1.0])
-            assert_same_bits(jacobi_sequence(a, b, degree, x),
-                             textbook_jacobi_sequence(a, b, degree, x))
-        # One lane per point: arrays a and x of one shape, and x with more axes.
-        lanes = rng.uniform(-0.9, 40.0, 300)
-        x = rng.uniform(-1.0, 1.0, 300)
-        assert_same_bits(jacobi_sequence(lanes, 2.5, 90, x),
-                         textbook_jacobi_sequence(lanes, 2.5, 90, x))
-        x = rng.uniform(-1.0, 1.0, (4, 300))
-        assert_same_bits(jacobi_sequence(lanes, 2.5, 30, x),
-                         textbook_jacobi_sequence(lanes, 2.5, 30, x))
+        # Lane calls, one exponent per lane, as blocks make them.
+        size = int(rng.integers(1, 201))
+        lanes = np.arange(float(size)) if integer else rng.uniform(-0.9, 40.0, size)
+        x = (1.0, -1.0, float(rng.uniform(-1.0, 1.0)))[i % 3]
+        assert_same_bits(jacobi_sequence(lanes, b, size - 1, x),
+                         textbook_jacobi_sequence(lanes, b, size - 1, x))
+    # Point calls, with x in one table of a row per degree: Monte Carlo
+    # batches (low degree, many points), quadrature nodes (degree up to
+    # the rule's order), and a few thousand to tens of thousands of
+    # points at moderate degree.
+    for degree, a, b in [(0, 0.0, 1.0), (1, 2.0, 1.0), (3, 1.0, 4.0), (6, 3.0, 2.0)]:
+        x = 1.0 - 2.0 * rng.uniform(0.0, 1.0, 40_000) ** 2
+        assert_same_bits(jacobi_sequence(a, b, degree, x),
+                         textbook_jacobi_sequence(a, b, degree, x))
+    for degree, a, b in [(5, 0.0, 1.0), (50, 3.0, 4.0), (150, 100.0, 3.0)]:
+        x = np.append(gauss_legendre(degree + 2)[0], [-1.0, 1.0])
+        assert_same_bits(jacobi_sequence(a, b, degree, x),
+                         textbook_jacobi_sequence(a, b, degree, x))
+    for size, degree, a, b in [(5000, 40, 7.0, 2.0), (16_385, 12, 0.5, 3.0)]:
+        x = np.append(rng.uniform(-1.0, 1.0, size - 2), [-1.0, 1.0])
+        assert_same_bits(jacobi_sequence(a, b, degree, x),
+                         textbook_jacobi_sequence(a, b, degree, x))
+    # One lane per point: arrays a and x of one shape, and x with more axes.
+    lanes = rng.uniform(-0.9, 40.0, 300)
+    x = rng.uniform(-1.0, 1.0, 300)
+    assert_same_bits(jacobi_sequence(lanes, 2.5, 90, x),
+                     textbook_jacobi_sequence(lanes, 2.5, 90, x))
+    x = rng.uniform(-1.0, 1.0, (4, 300))
+    assert_same_bits(jacobi_sequence(lanes, 2.5, 30, x),
+                     textbook_jacobi_sequence(lanes, 2.5, 30, x))
 
 
 # ----------------------------------------------------------------------
