@@ -167,15 +167,17 @@ def haar_integrand(req: OrthoRequest, tau, phi, psi):
     and beta = sinh(tau/2) e^{i (phi-psi)/2}, so its polar data are read off
     the chart without forming either.  With U = s exp(l + i a) for each
     factor, the integrand is s1 s2 exp(l1 + l2) cos(a1 - a2) sinh(tau): one
-    real exp and one cosine per point, and no complex array.
+    real exp and one cosine per point, and no complex array.  A diagonal
+    request has both factors equal, so it takes no cosine.
     """
     cosh_half = np.cosh(0.5 * tau)
     tanh_half = np.tanh(0.5 * tau)
     polar = (cosh_half * cosh_half, tanh_half * tanh_half, 0.5 * (phi + psi), 0.5 * (phi - psi))
     first, second = (req.eta1, req.m, req.m_prime), (req.eta2, req.n, req.n_prime)
     s1, l1, a1 = matrix_element_polar(*first, *polar)
-    # A diagonal request has both factors equal: reuse the first's values.
-    s2, l2, a2 = (s1, l1, a1) if second == first else matrix_element_polar(*second, *polar)
+    if second == first:  # cos(a1 - a1) is exactly 1
+        return s1 * s1 * np.exp(l1 + l1) * np.sinh(tau)
+    s2, l2, a2 = matrix_element_polar(*second, *polar)
     return s1 * s2 * np.exp(l1 + l2) * np.cos(a1 - a2) * np.sinh(tau)
 
 

@@ -86,7 +86,7 @@ def abel_character_sum(eta1, eta2, theta: float, r: float, n_max: int = 50) -> c
     if n_max < 0:
         raise InvalidParams(f"n_max must be >= 0, got {n_max}")
     base = RepLabel(two_eta=l1.two_eta + l2.two_eta)
-    character_compact(base, theta)  # the angle guards; the value is not needed
+    # abel_trace refuses the angles that character_compact refuses.
     return abel_trace(base, theta, r, n_max + 1) / (1.0 - cmath.exp(-1j * theta))
 
 

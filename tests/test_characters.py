@@ -1,12 +1,14 @@
 """Character closed forms against trace-summation oracles."""
 import cmath
 import math
+import struct
 from fractions import Fraction
 
 import mpmath as mp
 import numpy as np
 import pytest
 
+from su11 import characters
 from su11 import (
     BOUNDARY_TOL,
     BoundaryConjugacyClass,
@@ -31,6 +33,7 @@ from su11 import (
     damped_trace_sum,
     from_cartan,
     inverse,
+    matrix_element,
     matrix_element_cartan,
     multiply,
     to_cartan,
@@ -344,6 +347,61 @@ def test_damped_trace_validation():
     with pytest.raises(InvalidParams):
         damped_trace_sum("1", IDENTITY, 0.5, -1)
     assert damped_trace_sum("1", IDENTITY, 0.5, 0) == 0j
+
+
+def _hex(z: complex) -> tuple:
+    return z.real.hex(), z.imag.hex()
+
+
+def _diagonal_sums(eta, g, terms, dampings):
+    """The undamped and damped sums of g's own scalar diagonal, n = 0 first."""
+    diagonal = np.array([matrix_element(eta, n, n, g) for n in range(terms)])
+    sums = [sum(diagonal.tolist(), 0j)]
+    sums += [sum((r ** np.arange(terms) * diagonal).tolist(), 0j) for r in dampings]
+    return [_hex(z) for z in sums]
+
+
+def test_signed_zero_elements_keep_their_own_diagonal(clear_su11_caches):
+    # alpha = -2 + 0j and -2 - 0j compare and hash equal, but their phases
+    # are +pi and -pi, so their diagonal terms differ in the sign of the
+    # imaginary part: neither element may be given the other's sums.
+    root3 = math.sqrt(3.0)
+    plus = GroupElement(complex(-2.0, 0.0), root3)
+    minus = GroupElement(complex(-2.0, -0.0), root3)
+    assert plus == minus and hash(plus) == hash(minus)
+    terms, dampings = 60, (0.9, 0.99)
+    for eta in ("1", "3/2"):
+        expected = {id(g): _diagonal_sums(eta, g, terms, dampings) for g in (plus, minus)}
+        assert expected[id(plus)] != expected[id(minus)]
+        for order in ((plus, minus), (minus, plus)):
+            clear_su11_caches()
+            for g in order:
+                got = [trace_partial_sum(eta, g, terms)]
+                got += [damped_trace_sum(eta, g, r, terms) for r in dampings]
+                assert [_hex(z) for z in got] == expected[id(g)]
+
+
+def test_consecutive_sums_share_one_read_only_diagonal(clear_su11_caches):
+    # The benchmark's order: a 200-term partial sum, then three damped sums
+    # that read one 4000-term diagonal.  They equal the same sums made each
+    # with every cache empty, bit for bit.
+    eta, g = "3/2", from_cartan(2.0, 0.3, -0.7)
+    calls = [lambda: trace_partial_sum(eta, g, 200)]
+    calls += [lambda r=r: damped_trace_sum(eta, g, r, 4000) for r in (0.95, 0.97, 0.99)]
+    cleared = []
+    for call in calls:
+        clear_su11_caches()
+        cleared.append(_hex(call()))
+    clear_su11_caches()
+    assert [_hex(call()) for call in calls] == cleared
+    info = characters._diagonal.cache_info()
+    assert (info.hits, info.misses, info.currsize) == (2, 2, 1)
+    bits = struct.pack("<4d", g.alpha.real, g.alpha.imag, g.beta.real, g.beta.imag)
+    held = characters._diagonal(as_rep_label(eta), 4000, bits)
+    assert characters._diagonal.cache_info().hits == 3
+    assert held.flags.writeable is False
+    with pytest.raises(ValueError):
+        held[0] = 0.0
 
 
 # ----------------------------------------------------------------------

@@ -91,6 +91,29 @@ def test_angle_window_errors_agree():
             f(0.0)
 
 
+_ANGLE_GUARDED = {
+    "character_compact": lambda theta: character_compact("1", theta),
+    "character_product": lambda theta: character_product("1", "3/2", theta),
+    "abel_character_sum": lambda theta: abel_character_sum("1", "3/2", theta, 0.5, 10),
+    "abel_character_sum_closed_form":
+        lambda theta: abel_character_sum_closed_form("1", "3/2", theta, 0.5),
+    "verify_expansion_identity": verify_expansion_identity,
+}
+
+
+@pytest.mark.parametrize("theta, error", [
+    (0.0, SingularAngle), (2 * math.pi, SingularAngle), (1e-6, SingularAngle),
+    (-1.0, UnsupportedClass), (7.0, UnsupportedClass),
+    (math.nan, UnsupportedClass), (math.inf, UnsupportedClass),
+])
+@pytest.mark.parametrize("call", _ANGLE_GUARDED.values(), ids=_ANGLE_GUARDED.keys())
+def test_compact_angle_guard_is_shared(call, theta, error):
+    # Every compact formula refuses an angle as character_compact does,
+    # whichever function runs the guard for it.
+    with pytest.raises(error):
+        call(theta)
+
+
 def test_abel_sum_is_ladder_of_compact_characters():
     # The sum is abel_trace of the lowest summand over 1 - exp(-i theta);
     # it must agree with the ladder added term by term.
