@@ -154,9 +154,8 @@ def _diagonal(label: RepLabel, terms: int, bits: bytes) -> np.ndarray:
 
     A label compares by two_eta.  The key holds the bit patterns of alpha and
     beta, not the element: entries of -0.0 and +0.0 compare equal but give
-    diagonals whose imaginary parts differ in sign.  The cache is typed, so a
-    term count of 200.0 is not answered from the entry for 200.  The sums at
-    several dampings read one diagonal, and one is held at a time.
+    diagonals whose imaginary parts differ in sign.  The sums at several
+    dampings read one diagonal, and one is held at a time.
     """
     ar, ai, br, bi = struct.unpack("<4d", bits)
     n = np.arange(terms)
@@ -165,10 +164,18 @@ def _diagonal(label: RepLabel, terms: int, bits: bytes) -> np.ndarray:
     return diagonal
 
 
-def _diagonal_sum(eta, g: GroupElement, r: float, terms: int) -> complex:
-    """sum_{n < terms} r^n U_{nn}(g), the terms added in order, n = 0 first."""
+def _term_count(terms) -> int:
+    """``terms`` as an int >= 0, else InvalidParams; np.int64(10) and 10 give 10."""
+    if isinstance(terms, bool) or not isinstance(terms, (int, np.integer)):
+        raise InvalidParams(f"terms must be an int, got {terms!r}")
     if terms < 0:
         raise InvalidParams(f"terms must be >= 0, got {terms}")
+    return int(terms)
+
+
+def _diagonal_sum(eta, g: GroupElement, r: float, terms: int) -> complex:
+    """sum_{n < terms} r^n U_{nn}(g), the terms added in order, n = 0 first."""
+    terms = _term_count(terms)
     if terms == 0:
         return 0j
     a, b = g.alpha, g.beta
@@ -191,9 +198,23 @@ def trace_partial_sum(eta, g: GroupElement, terms: int) -> complex:
     each term equals ``matrix_element(eta, n, n, g)`` bit for bit and the
     terms are added in order, n = 0 first.  Consecutive calls here and in
     ``damped_trace_sum`` with the same (label, element, terms) reuse one
-    diagonal; at most one diagonal is held.
+    diagonal; at most one diagonal is held.  ``terms`` must be an int >= 0
+    (NumPy integers included), else InvalidParams.
     """
     return _diagonal_sum(eta, g, 1.0, terms)
+
+
+@lru_cache(maxsize=1, typed=True)
+def _compact_diagonal(label: RepLabel, theta: float, terms: int) -> np.ndarray:
+    """The read-only diagonal exp(-i (eta + n) theta) at h(theta), n < terms.
+
+    The Abel sums at several dampings of one (label, angle, terms) read one
+    array, and one is held at a time.
+    """
+    n = np.arange(terms)
+    diagonal = np.exp(-1j * (0.5 * label.two_eta + n) * theta)
+    diagonal.flags.writeable = False
+    return diagonal
 
 
 def abel_trace(eta, theta: float, r: float, terms: int) -> complex:
@@ -201,17 +222,18 @@ def abel_trace(eta, theta: float, r: float, terms: int) -> complex:
 
     The elliptic diagonal series has unit-modulus terms, so only this damped
     form converges; as r -> 1 it tends to the compact character, and it
-    takes the angles that ``character_compact`` takes.
+    takes the angles that ``character_compact`` takes.  Consecutive calls
+    with the same (label, theta, terms), as at several dampings r, reuse one
+    array of terms and differ only in the damping; at most one is held.
+    ``terms`` is checked as by ``trace_partial_sum``.
     """
     label = as_rep_label(eta)
     if not 0.0 < r < 1.0:
         raise InvalidDamping(f"damping must lie in (0, 1), got {r}")
     _half_sine(theta)
-    if terms < 0:
-        raise InvalidParams(f"terms must be >= 0, got {terms}")
-    n = np.arange(terms)
-    eta_value = 0.5 * label.two_eta
-    return complex(np.sum(r**n * np.exp(-1j * (eta_value + n) * theta)))
+    terms = _term_count(terms)
+    diagonal = _compact_diagonal(label, float(theta), terms)
+    return complex(np.sum(r ** np.arange(terms) * diagonal))
 
 
 def damped_trace_sum(eta, g: GroupElement, r: float, terms: int) -> complex:
@@ -224,7 +246,8 @@ def damped_trace_sum(eta, g: GroupElement, r: float, terms: int) -> complex:
     form for tau <= 4 (4000 terms), 7.9e-10 off at tau = 8 and 1.2e-2 off at
     tau = 20 (20 000 terms).  Consecutive calls with the same (label, element,
     terms), as at several dampings r, reuse one diagonal and differ only in
-    the damping; at most one diagonal is held.
+    the damping; at most one diagonal is held.  ``terms`` is checked as by
+    ``trace_partial_sum``.
     """
     if not 0.0 < r < 1.0:
         raise InvalidDamping(f"damping must lie in (0, 1), got {r}")

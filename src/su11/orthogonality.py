@@ -31,6 +31,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 
 import numpy as np
 
@@ -101,7 +102,9 @@ def radial_integral(req: OrthoRequest) -> float:
     nearby degrees share one cached rule.  On the diagonal (eta1 = eta2,
     hence m = n) one Jacobi sequence serves both factors.  Raises
     InvalidParams where the Jacobi factors overflow (for example at
-    eta = 1, m = a = 300).
+    eta = 1, m = a = 300).  Values are cached by the two doubled labels and
+    the four indices, up to 1024 of them, and this function and
+    ``orthogonality_integral`` read the same entries; refusals are not kept.
     """
     return _radial(req)[0]
 
@@ -112,24 +115,37 @@ def _radial(req: OrthoRequest) -> tuple[float, int]:
         raise InvalidParams("radial_integral requires a request passing angular selection")
     if req.m_prime < req.m or req.n_prime < req.n:
         raise InvalidParams("radial_integral requires m' >= m and n' >= n")
-    t1, t2 = req.eta1.two_eta, req.eta2.two_eta
-    a = req.m_prime - req.m
+    return _radial_value(req.eta1.two_eta, req.eta2.two_eta,
+                         req.m, req.m_prime, req.n, req.n_prime)
+
+
+@lru_cache(maxsize=1024)
+def _radial_value(t1: int, t2: int, m: int, mp: int, n: int, np_: int) -> tuple[float, int]:
+    """_radial for a canonical selected request, keyed on its doubled labels
+    and indices.  An overflow raises, and lru_cache keeps no exception."""
+    a = mp - m
     b = (t1 + t2) // 2 - 2
-    need = (a + b + req.m + req.n) // 2 + 1
+    need = (a + b + m + n) // 2 + 1
     order = 1 << (need - 1).bit_length()
     x, w = gauss_legendre(order)
     with np.errstate(over="ignore", invalid="ignore"):
-        p1 = jacobi_sequence(float(a), float(t1 - 1), req.m, x)[-1]
-        p2 = p1 if t1 == t2 else jacobi_sequence(float(a), float(t2 - 1), req.n, x)[-1]
+        p1 = jacobi_sequence(float(a), float(t1 - 1), m, x)[-1]
+        p2 = p1 if t1 == t2 else jacobi_sequence(float(a), float(t2 - 1), n, x)[-1]
         value = float(np.dot(w * (1.0 - x) ** a * (1.0 + x) ** b, p1 * p2))
     if not math.isfinite(value):
-        raise InvalidParams(f"the Jacobi factors of ({req.m}, {req.m_prime}, {req.n}, "
-                            f"{req.n_prime}) overflow double precision")
+        raise InvalidParams(f"the Jacobi factors of ({m}, {mp}, {n}, {np_}) "
+                            "overflow double precision")
     return value, order
 
 
 def orthogonality_integral(req: OrthoRequest) -> OrthoResult:
-    """Full invariant integral: analytic angular deltas times the radial part."""
+    """Full invariant integral: analytic angular deltas times the radial part.
+
+    A request and its transpose (m > m' swapped through the symmetry) share
+    one canonical radial integral, and so does ``radial_integral`` called on
+    that canonical request: it is computed once and then read from a cache
+    that holds up to 1024 radial integrals.
+    """
     dim = formal_dimension(req.eta1)
     diagonal = (
         req.eta1 == req.eta2 and req.m == req.n and req.m_prime == req.n_prime

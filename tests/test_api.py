@@ -3,7 +3,7 @@ import ast
 from pathlib import Path
 
 import su11
-from su11 import characters, jacobi
+from su11 import characters, jacobi, orthogonality
 
 
 def test_all_names_resolve_and_appear_once():
@@ -31,6 +31,8 @@ def test_every_cache_is_bounded(su11_caches):
     # A bound caps the memory a cache keeps, and a functools cache in a
     # module namespace is one the benchmark harness can find and clear.
     assert characters._diagonal in su11_caches
+    assert characters._compact_diagonal in su11_caches
+    assert orthogonality._radial_value in su11_caches
     assert jacobi.gauss_legendre in su11_caches
     for cache in su11_caches:
         assert cache.cache_info().maxsize is not None, cache

@@ -439,6 +439,52 @@ def test_abel_limit_equals_compact_character():
             assert abs(lhs - rhs) <= 1e-13
 
 
+def test_abel_sums_at_three_dampings_share_one_read_only_array(clear_su11_caches):
+    # elliptic_abel_residual's order: one (label, angle, terms), three
+    # dampings.  The sums equal the same sums made each with every cache
+    # empty, bit for bit.
+    eta, theta, terms, dampings = "3/2", 1.0, 20_000, (0.9, 0.99, 0.999)
+    cleared = []
+    for r in dampings:
+        clear_su11_caches()
+        cleared.append(_hex(abel_trace(eta, theta, r, terms)))
+    clear_su11_caches()
+    assert [_hex(abel_trace(eta, theta, r, terms)) for r in dampings] == cleared
+    cache = characters._compact_diagonal
+    info = cache.cache_info()
+    assert (info.hits, info.misses, info.currsize) == (2, 1, 1)
+    held = cache(as_rep_label(eta), theta, terms)
+    assert cache.cache_info().hits == 3
+    assert held.flags.writeable is False
+    with pytest.raises(ValueError):
+        held[0] = 0.0
+    # Another angle or label replaces the held array.
+    for other_eta, other_theta in ((eta, 2.0), ("2", theta)):
+        misses = cache.cache_info().misses
+        abel_trace(other_eta, other_theta, 0.9, terms)
+        abel_trace(eta, theta, 0.9, terms)
+        assert cache.cache_info().misses == misses + 2
+        assert cache.cache_info().currsize == 1
+
+
+@pytest.mark.parametrize("call", [
+    lambda terms: trace_partial_sum("1", IDENTITY, terms),
+    lambda terms: damped_trace_sum("1", IDENTITY, 0.5, terms),
+    lambda terms: abel_trace("1", 1.0, 0.5, terms),
+], ids=["trace_partial_sum", "damped_trace_sum", "abel_trace"])
+def test_term_count_must_be_an_int(call, clear_su11_caches):
+    for terms in (10.0, True, np.array(10), np.array([10]), "10", None):
+        with pytest.raises(InvalidParams, match="terms must be an int"):
+            call(terms)
+    with pytest.raises(InvalidParams, match="terms must be >= 0"):
+        call(np.int64(-1))
+    # A NumPy integer is taken, and shares the cache entry of the plain int.
+    clear_su11_caches()
+    assert _hex(call(np.int64(10))) == _hex(call(10))
+    assert sum(cache.cache_info().misses for cache in
+               (characters._diagonal, characters._compact_diagonal)) == 1
+
+
 def test_abel_trace_validation():
     with pytest.raises(InvalidDamping):
         abel_trace("1", 1.0, 0.0, 10)

@@ -19,6 +19,7 @@ from su11 import (
     orthogonality_integral,
     radial_integral,
 )
+from su11 import orthogonality
 from su11.orthogonality import haar_integrand
 from su11.verify import UNSELECTED, gr_7391, monte_carlo_spot
 
@@ -199,6 +200,32 @@ def test_large_index_integrals():
     # beyond the domain the Jacobi factors overflow: refused, never NaN
     with pytest.raises(InvalidParams):
         orthogonality_integral(OrthoRequest("1", "1", 300, 600, 300, 600))
+
+
+def test_transposed_requests_share_one_radial_integral(clear_su11_caches):
+    # (m, m') and (m', m) map to one canonical request, so the second is a hit.
+    cache = orthogonality._radial_value
+    for case in [("2", "2", 3, 6, 3, 6), ("5/2", "3/2", 1, 4, 2, 5)]:
+        req = OrthoRequest(*case)
+        e1, e2, m, mp, n, np_ = case
+        transposed = OrthoRequest(e1, e2, mp, m, np_, n)
+        clear_su11_caches()
+        expected = [orthogonality_integral(r).value.hex() for r in (req, transposed)]
+        clear_su11_caches()
+        radial = radial_integral(req).hex()
+        clear_su11_caches()
+        got = [orthogonality_integral(r).value.hex() for r in (req, transposed)]
+        info = cache.cache_info()
+        assert (info.misses, info.hits) == (1, 1), case
+        assert got == expected, case
+        assert radial_integral(req).hex() == radial
+        assert cache.cache_info().hits == 2
+    # A refusal is raised again, not kept.
+    clear_su11_caches()
+    for _ in range(2):
+        with pytest.raises(InvalidParams):
+            orthogonality_integral(OrthoRequest("1", "1", 300, 600, 300, 600))
+    assert cache.cache_info().currsize == 0
 
 
 def test_request_refuses_non_integer_indices():

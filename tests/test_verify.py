@@ -1,18 +1,29 @@
 """The suite runner: worker processes, record order and errors."""
 import pytest
 
-from su11 import InvalidParams
+from su11 import InvalidParams, verify
 from su11.verify import SUITE_NAMES, run_character, run_ortho, run_suite, run_tensor, run_unitary
 
 SMALL = {"samples": 2000, "size": 20, "max_index": 3, "seed": 5}
+RUNNERS = dict(zip(SUITE_NAMES, (run_ortho, run_unitary, run_character, run_tensor)))
 
 
 def test_all_equals_the_single_suites_in_order():
-    pooled = run_suite("all", **SMALL)
-    singles = [check for name in SUITE_NAMES for check in run_suite(name, **SMALL)]
-    in_process = [check for runner in (run_ortho, run_unitary, run_character, run_tensor)
-                  for check in runner(**SMALL)]
-    assert pooled == singles == in_process
+    # Pool tasks finish in any order; the records come back in registry order.
+    for params in (SMALL, {**SMALL, "seed": 1}):
+        in_process = {name: RUNNERS[name](**params) for name in SUITE_NAMES}
+        for name in SUITE_NAMES:
+            assert run_suite(name, **params) == in_process[name], name
+        assert run_suite("all", **params) == [
+            check for name in SUITE_NAMES for check in in_process[name]]
+
+
+def test_every_check_runs_in_exactly_one_pool_task():
+    keys = [(suite, task) for suite in SUITE_NAMES for task in verify._TASKS[suite]]
+    assert len(verify._LONGEST_FIRST) == len(set(verify._LONGEST_FIRST)) == len(keys)
+    assert set(verify._LONGEST_FIRST) == set(keys)
+    names = [check.name for key in keys for check in verify._run_task(*key, SMALL)]
+    assert len(names) == len(set(names))
 
 
 def test_worker_error_is_raised_by_run_suite():
