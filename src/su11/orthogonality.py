@@ -40,8 +40,8 @@ from .halfint import RepLabel, as_rep_label
 from .jacobi import gauss_legendre, jacobi_sequence, log_poch_ratio
 from .repmatrix import matrix_element_polar
 
-_MC_CHUNK = 200_000  # draws per generator call, and per sum
-_MC_SLICE = 50_000  # points per integrand call, so its temporaries stay in cache
+_MC_CHUNK = 200_000  # points per pairwise sum, and per layout of the stream
+_MC_SLICE = 16_384  # points per draw and integrand call, so temporaries stay in cache
 _MC_TAU_MAX = 12.0  # boost cutoff of the Monte Carlo box
 
 
@@ -210,8 +210,15 @@ def monte_carlo_haar(req: OrthoRequest, samples: int, seed: int) -> MonteCarloEs
     integrand is haar_integrand, in polar form.  ``samples``
     must be an int >= 1 and ``seed`` an int >= 0, else InvalidParams.
     Fixed seed and fixed chunking make the estimate bit-for-bit
-    reproducible; the integrand runs on slices of a chunk, and each point's
-    value does not depend on the slice it is in.
+    reproducible.  The stream of ``default_rng(seed)`` holds each chunk as
+    its ``count`` tau draws, then its ``count`` phi draws, then its ``count``
+    psi draws, one 64-bit output per double.  Three generators advanced to
+    those offsets draw the chunk slice by slice, and the integrand runs on
+    each slice as it is drawn, so no point's value depends on the slice it
+    is in and no array but the chunk's values is chunk-sized.  NumPy does
+    not document that default_rng(seed) starts in the state of PCG64(seed)
+    or that uniform takes one output per double; the tests check both
+    against whole-chunk draws from default_rng(seed).
     """
     for name, value in (("samples", samples), ("seed", seed)):
         if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
@@ -220,23 +227,24 @@ def monte_carlo_haar(req: OrthoRequest, samples: int, seed: int) -> MonteCarloEs
         raise InvalidParams(f"samples must be >= 1, got {samples}")
     if seed < 0:
         raise InvalidParams(f"seed must be >= 0, got {seed}")
-    rng = np.random.default_rng(seed)
     total = 0.0
     total_sq = 0.0
-    remaining = samples
+    done = 0
     values = np.empty(min(_MC_CHUNK, samples))
-    while remaining > 0:
-        count = min(_MC_CHUNK, remaining)
-        tau = rng.uniform(0.0, _MC_TAU_MAX, count)
-        phi = rng.uniform(0.0, 2.0 * math.pi, count)
-        psi = rng.uniform(-2.0 * math.pi, 2.0 * math.pi, count)
+    while done < samples:
+        count = min(_MC_CHUNK, samples - done)
+        tau, phi, psi = (np.random.Generator(np.random.PCG64(seed).advance(3 * done + k * count))
+                         for k in range(3))
         f = values[:count]
         for i in range(0, count, _MC_SLICE):
-            part = slice(i, i + _MC_SLICE)
-            f[part] = haar_integrand(req, tau[part], phi[part], psi[part])
+            n = min(_MC_SLICE, count - i)
+            f[i:i + n] = haar_integrand(req, tau.uniform(0.0, _MC_TAU_MAX, n),
+                                        phi.uniform(0.0, 2.0 * math.pi, n),
+                                        psi.uniform(-2.0 * math.pi, 2.0 * math.pi, n))
         total += float(np.sum(f))
-        total_sq += float(np.sum(f * f))
-        remaining -= count
+        f *= f  # the same bits as np.sum(f * f), without a second chunk-sized array
+        total_sq += float(np.sum(f))
+        done += count
     mean = total / samples
     variance = max(total_sq / samples - mean * mean, 0.0) / samples
     return MonteCarloEstimate(_MC_TAU_MAX * mean, _MC_TAU_MAX * math.sqrt(variance),

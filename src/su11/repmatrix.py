@@ -16,10 +16,21 @@ One kernel assembles every entry in log space: with d = n_> - n_<, the
 modulus is exp(log_poch / 2 - 2 eta log|alpha| + d log|z| + log|P|) and the
 phase is d arg(gamma) - (2 eta + 2 n_< + d) arg(alpha).  No power can
 overflow before the others balance it, so there is a single regime for
-every index and every tau.  The scalar, batch and block forms all call it,
-and a block entry equals the scalar matrix_element bit for bit.  Its first
-step, the sign, log modulus and phase before the one complex exp, is public
-as matrix_element_polar for callers that need only moduli and phases.
+every index and every tau.  The phase is a row phase times a column phase,
+
+    exp(i P(n)) conj(exp(i Q(n))) * exp(i Q(n')),
+    P(n) = -(2 eta + 2 n) arg(alpha),   Q(k) = k (arg(beta) - arg(alpha)),
+
+times (-1)^d on the upper triangle, the pi of arg(-beta) taken exactly.  A
+block on open index grids thus takes one complex exp per row and per
+column.  On the diagonal Q(n) cancels, so the phase there is exp(i P(n))
+alone and no angle of size n |arg(beta)| is rounded.  Every complex product
+is np.multiply: numpy's array loop may fuse a multiply-add where its scalar
+operator does not, and np.multiply gives a lone entry the array loop's
+bits.  The scalar, batch and block forms all call the kernel, and a block
+entry equals the scalar matrix_element bit for bit.  matrix_element_polar
+shares its sign and log modulus and keeps the phase as one angle, for
+callers that need only moduli and phase differences.
 
 The same element in the hyperbolic-angle chart separates into a magnitude
 in the chart's radial variables |z| = tanh(tau/2) and 1/|alpha| =
@@ -62,43 +73,60 @@ def _z_squared(alpha, beta):
             / (alpha.real * alpha.real + alpha.imag * alpha.imag))
 
 
-def _polar(two_eta: int, n_less, offset, upper, abs2_alpha, z2, arg_alpha, arg_beta, jac):
-    """(sign, log modulus, phase) of U_{n n'} from the element's polar data.
+def _sign_log_modulus(two_eta: int, n_less, offset, log_abs2_alpha, log_z2, z2, jac):
+    """(sign, log modulus) of U_{n n'}, the sign without the triangle's parity.
 
-    The element enters as |alpha|^2, |z|^2 and the arguments of alpha and
-    beta; the index data as n_<, d = n_> - n_<, the triangle and the Jacobi
-    factor P_{n_<}^{(d, 2 eta - 1)}.  All arguments broadcast; ``upper`` marks
-    n' >= n, where gamma = -beta.  The sign is 0 for entries with a zero
-    Jacobi factor, or with d > 0 at beta = 0, which keeps the identity block
-    exact and compact elements diagonal.  The Jacobi factor is finite: a
-    recurrence that overflows is refused by jacobi_sequence, or, for lanes,
-    by matrix_element_batch.  The masks are written as arithmetic on
-    booleans, so a scalar entry costs a handful of numpy calls.
+    The element enters as log|alpha|^2, log|z|^2 (0 where z = 0) and |z|^2;
+    the index data as n_<, d = n_> - n_< and the Jacobi factor
+    P_{n_<}^{(d, 2 eta - 1)}.  All arguments broadcast.  The sign is that of
+    the Jacobi factor, and 0 for entries with a zero Jacobi factor, or with
+    d > 0 at beta = 0, which keeps the identity block exact and compact
+    elements diagonal.  The Jacobi factor is finite: a recurrence that
+    overflows is refused by jacobi_sequence, or, for lanes, by
+    matrix_element_batch.  The modulus is formed with augmented operators,
+    in place on arrays and rebinding scalars, so a block entry and a scalar
+    entry go through the same ufuncs in the same order.
     """
     keep = (jac != 0.0) & ((offset == 0) | (z2 != 0.0))
+    log_mag = log_poch_ratio(two_eta, n_less + offset, n_less)
+    log_mag *= 0.5
+    log_mag -= 0.5 * two_eta * log_abs2_alpha
+    log_mag += offset * (0.5 * log_z2)
     # Adding the boolean "== 0" turns a zero into 1, so every log is finite.
-    log_mag = (
-        0.5 * log_poch_ratio(two_eta, n_less + offset, n_less)
-        - 0.5 * two_eta * np.log(abs2_alpha)
-        + offset * (0.5 * np.log(z2 + (z2 == 0.0)))
-        + np.log(np.abs(jac + (jac == 0.0)))
-    )
-    # arg(-beta) = arg(beta) + pi and arg(conj(beta)) = -arg(beta); phases
-    # are taken on the element, never per entry.
-    arg_gamma = (2 * upper - 1) * arg_beta + np.pi * upper
-    angle = offset * arg_gamma - (two_eta + 2 * n_less + offset) * arg_alpha
+    log_mag += np.log(np.abs(jac + (jac == 0.0)))
     sign = (1.0 * (jac > 0.0) - (jac < 0.0)) * keep
-    return sign, log_mag, angle
+    return sign, log_mag
 
 
-def _assemble(two_eta: int, n_less, offset, upper, alpha, beta, jac):
-    """U_{n n'} as a complex entry: the polar data of (alpha, beta), then one exp."""
-    sign, log_mag, angle = _polar(
-        two_eta, n_less, offset, upper,
-        alpha.real * alpha.real + alpha.imag * alpha.imag, _z_squared(alpha, beta),
-        np.arctan2(alpha.imag, alpha.real), np.arctan2(beta.imag, beta.real), jac)
-    # Adding +0.0 turns the -0.0 parts that the sign or underflow leave into +0.0.
-    return sign * np.exp(log_mag + 1j * angle) + 0.0
+def _assemble(two_eta: int, n, n_prime, n_less, offset, alpha, beta, jac):
+    """U_{n n'} as a complex entry: a real modulus times a row and a column phase.
+
+    The split is the module's: the row phase exp(i P(n)) conj(exp(i Q(n))),
+    the column phase exp(i Q(n')) and the exact sign (-1)^d on the upper
+    triangle, with exp(i P(n)) alone on the diagonal.  Index arguments
+    broadcast, so open grids give a row and a column of phases, and a
+    diagonal trace takes one complex exp per entry.
+    """
+    abs2_alpha = alpha.real * alpha.real + alpha.imag * alpha.imag
+    z2 = _z_squared(alpha, beta)
+    arg_alpha = np.arctan2(alpha.imag, alpha.real)
+    sign, log_mag = _sign_log_modulus(two_eta, n_less, offset, np.log(abs2_alpha),
+                                      np.log(z2 + (z2 == 0.0)), z2, jac)
+    modulus = np.exp(log_mag)
+    # (-1)^d on the upper triangle: offset & (n' > n) is 1 there for odd d.
+    modulus *= sign * (1 - 2 * (offset & (n_prime > n)))
+    phase = np.exp(1j * (-(two_eta + 2 * n) * arg_alpha))  # exp(i P(n)), the phase where n' = n
+    if np.count_nonzero(offset):
+        turn = np.arctan2(beta.imag, beta.real) - arg_alpha
+        row = np.multiply(phase, np.conj(np.exp(1j * (n * turn))))
+        entry = np.multiply(row, np.exp(1j * (n_prime * turn)))
+        if isinstance(offset, np.ndarray):  # index arrays may mix diagonal and off-diagonal entries
+            np.copyto(entry, phase, where=offset == 0)
+        entry *= modulus
+    else:
+        entry = np.multiply(phase, modulus)
+    entry += 0.0  # turns the -0.0 parts that the sign or underflow leave into +0.0
+    return entry
 
 
 def matrix_element(eta, n: int, n_prime: int, g: GroupElement) -> complex:
@@ -109,7 +137,7 @@ def matrix_element(eta, n: int, n_prime: int, g: GroupElement) -> complex:
         raise InvalidParams("basis indices must be >= 0")
     xarg = 1.0 - 2.0 * _z_squared(g.alpha, g.beta)
     jac = jacobi_sequence(float(d), float(label.two_eta - 1), m, xarg)[-1]
-    return complex(_assemble(label.two_eta, m, d, n_prime >= n, g.alpha, g.beta, jac))
+    return complex(_assemble(label.two_eta, n, n_prime, m, d, g.alpha, g.beta, jac))
 
 
 def matrix_element_cartan(eta, n: int, n_prime: int, c: CartanCoords) -> complex:
@@ -135,17 +163,23 @@ def matrix_element_polar(eta, n: int, n_prime: int, abs2_alpha, z2, arg_alpha, a
     The element enters through its polar data: |alpha|^2, |z|^2 =
     |beta|^2 / |alpha|^2, arg(alpha) and arg(beta), as scalars or parallel
     arrays.  A caller that needs only moduli and phase differences, such as
-    Monte Carlo integration over the group, forms no complex number.  This
-    is the kernel that matrix_element exponentiates, for one index pair;
-    jacobi_sequence refuses a Jacobi factor beyond double range with
-    InvalidParams.
+    Monte Carlo integration over the group, forms no complex number.  The
+    sign and log modulus are the kernel's, with the same code; the phase is
+    kept as one angle, d arg(gamma) - (2 eta + 2 n_< + d) arg(alpha), with
+    the pi of arg(-beta) in it.  jacobi_sequence refuses a Jacobi factor
+    beyond double range with InvalidParams.
     """
     label = as_rep_label(eta)
     m, d = min(n, n_prime), abs(n_prime - n)
     if m < 0:
         raise InvalidParams("basis indices must be >= 0")
     jac = jacobi_sequence(float(d), float(label.two_eta - 1), m, 1.0 - 2.0 * z2)[-1]
-    return _polar(label.two_eta, m, d, n_prime >= n, abs2_alpha, z2, arg_alpha, arg_beta, jac)
+    sign, log_mag = _sign_log_modulus(label.two_eta, m, d, np.log(abs2_alpha),
+                                      np.log(z2 + (z2 == 0.0)), z2, jac)
+    # arg(-beta) = arg(beta) + pi and arg(conj(beta)) = -arg(beta).
+    upper = n_prime >= n
+    arg_gamma = (2 * upper - 1) * arg_beta + np.pi * upper
+    return sign, log_mag, d * arg_gamma - (label.two_eta + 2 * m + d) * arg_alpha
 
 
 def matrix_element_batch(eta, n, n_prime, alpha, beta) -> np.ndarray:
@@ -153,7 +187,8 @@ def matrix_element_batch(eta, n, n_prime, alpha, beta) -> np.ndarray:
 
     Either one index pair is evaluated over parallel arrays of (alpha, beta)
     entries of valid elements, or integer arrays n and n' broadcast over a
-    single element, as in a truncated block or a diagonal trace.  The Jacobi
+    single element, as in a truncated block (open grids from np.ogrid, a
+    column of n and a row of n') or a diagonal trace.  The Jacobi
     recurrence runs once, with one lane per offset n_> - n_<, and each entry
     over a single element equals matrix_element bit for bit.  Lanes past an
     offset's last needed degree may overflow; they are discarded, and a
@@ -180,7 +215,7 @@ def matrix_element_batch(eta, n, n_prime, alpha, beta) -> np.ndarray:
         jac = np.asarray(jacobi_sequence(lanes, b, int(np.max(m)), xarg))[m, d]
         if not np.isfinite(jac).all():
             raise InvalidParams("the Jacobi factor overflows double precision at these indices")
-    return _assemble(label.two_eta, m, d, n_prime >= n, alpha, beta, jac)
+    return _assemble(label.two_eta, n, n_prime, m, d, alpha, beta, jac)
 
 
 @dataclass(frozen=True, eq=False)
@@ -196,14 +231,14 @@ class MatrixBlock:
 def truncated_operator(eta, g: GroupElement, size: int) -> MatrixBlock:
     """Assemble the size x size block of U(g); entries match matrix_element.
 
-    The block is one matrix_element_batch call over every index pair, so
+    The block is one matrix_element_batch call on the open index grids
+    np.ogrid[:size, :size], so its phases are one row and one column, and
     entries[i, j] reproduces matrix_element(eta, i, j, g) bit for bit.
     """
     label = as_rep_label(eta)
     if size < 1:
         raise InvalidParams(f"size must be >= 1, got {size}")
-    rows, cols = np.indices((size, size))
-    out = matrix_element_batch(label, rows, cols, g.alpha, g.beta)
+    out = matrix_element_batch(label, *np.ogrid[:size, :size], g.alpha, g.beta)
     out.setflags(write=False)
     return MatrixBlock(label, size, out, g)
 
@@ -234,7 +269,7 @@ def homomorphism_defect(eta, g1: GroupElement, g2: GroupElement,
         raise InvalidParams(f"k must lie in [1, size], got {k}")
     label = as_rep_label(eta)
     g = multiply(g1, g2)
-    product = matrix_element_batch(label, *np.indices((k, k)), g.alpha, g.beta)
-    rows = matrix_element_batch(label, *np.indices((k, size)), g1.alpha, g1.beta)
-    cols = matrix_element_batch(label, *np.indices((size, k)), g2.alpha, g2.beta)
+    product = matrix_element_batch(label, *np.ogrid[:k, :k], g.alpha, g.beta)
+    rows = matrix_element_batch(label, *np.ogrid[:k, :size], g1.alpha, g1.beta)
+    cols = matrix_element_batch(label, *np.ogrid[:size, :k], g2.alpha, g2.beta)
     return float(np.max(np.abs(product - rows @ cols)))

@@ -415,18 +415,18 @@ _TASKS = {
 
 # run_suite's submission order, longest first (Graham's LPT rule), so the
 # short tasks fill in behind the long ones and the workers finish together.
-# The costs are medians of 7 runs of each task alone in a fresh process at
+# The costs are medians of 18 runs of each task alone in a fresh process at
 # the default settings, on a 2-CPU machine (Python 3.11, NumPy 2.4).
 _LONGEST_FIRST = (
-    ("ortho", "monte_carlo"),  # 182 ms: 5 x 200 000 draws
-    ("unitary", "blocks"),  # 168 ms: 75 size-60 blocks, 75 homomorphism defects
-    ("ortho", "sweep"),  # 84 ms: 616 + 405 + 482 radial requests, 903 computed
-    ("character", "elliptic"),  # 39 ms: 36 Abel sums over 12 arrays of 20 000 terms
-    ("character", "chart"),  # 30 ms
-    ("unitary", "cross_form"),  # 20 ms
+    ("unitary", "blocks"),  # 152 ms: 75 size-60 blocks, 75 homomorphism defects
+    ("ortho", "monte_carlo"),  # 130 ms: 5 x 200 000 draws
+    ("ortho", "sweep"),  # 127 ms: 616 + 405 + 482 radial requests, 903 computed
+    ("character", "elliptic"),  # 44 ms: 36 Abel sums over 12 arrays of 20 000 terms
+    ("character", "chart"),  # 34 ms
+    ("unitary", "cross_form"),  # 26 ms
+    ("tensor", "all"),  # 25 ms
     ("character", "rest"),  # 18 ms
-    ("ortho", "quadrature"),  # 17 ms
-    ("tensor", "all"),  # 16 ms
+    ("ortho", "quadrature"),  # 15 ms
 )
 
 
@@ -468,12 +468,12 @@ def run_suite(suite: str, **params) -> list:
     ignored.  The unit of work is a task of one or a few checks, and the
     tasks go to one worker per CPU, at most one per task, longest first
     (``_LONGEST_FIRST``).  Alone at the default settings on a 2-CPU machine
-    they take: the Monte Carlo spot check 182 ms, the unitarity and
-    homomorphism blocks 168 ms, the four radial-integral checks of the
-    ortho suite 84 ms (together, since they share cached integrals), the
-    elliptic Abel residuals 39 ms, then chart form with the hyperbolic Abel
-    limit, cross form, Abel limit with class function, the quadrature
-    moments and the five tensor checks, 16-30 ms each.
+    they take: the unitarity and homomorphism blocks 152 ms, the Monte Carlo
+    spot check 130 ms, the four radial-integral checks of the ortho suite
+    127 ms (together, since they share cached integrals), the elliptic Abel
+    residuals 44 ms, then chart form with the hyperbolic Abel limit, cross
+    form, the five tensor checks, Abel limit with class function and the
+    quadrature moments, 15-34 ms each.
 
     The records come back in SUITE_NAMES order and, within a suite, in the
     order of its checks, exactly as the ``run_*`` runners return them in

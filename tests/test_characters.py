@@ -311,6 +311,22 @@ def test_damped_trace_matches_closed_form():
     assert kinds == {"Re+", "Re-", "Im+", "Im-"}
 
 
+def test_damped_trace_accurate_at_large_arg_beta():
+    # arg(beta) = (phi - psi) / 2 near +-pi: a phase that rounded n |arg(beta)|
+    # on the diagonal would lose about two digits of the 4000-term sum here.
+    worst = 0.0
+    for tau in (1.0, 2.5, 4.0):
+        for half in (0.1, -0.2):
+            for diff in (2.0 * math.pi - 0.3, 0.3 - 2.0 * math.pi, 3.0):
+                g = from_cartan(tau, half + 0.5 * diff, half - 0.5 * diff)
+                for eta in ("1", "3/2", "5/2"):
+                    for r in (0.95, 0.99):
+                        closed = damped_trace_closed_form(eta, g, r)
+                        summed = damped_trace_sum(eta, g, r, 4000)
+                        worst = max(worst, abs(summed - closed) / abs(closed))
+    assert worst <= 2e-11
+
+
 def mp_generating_function(two_eta, tau, phi, psi, r, dps=40):
     """DLMF 18.12.1 at Jacobi a = 0, summed over n with the diagonal's factors.
 

@@ -264,31 +264,71 @@ def test_monte_carlo_deterministic():
     assert c.value != a.value
 
 
-def test_monte_carlo_slices_leave_every_estimate_unchanged():
-    # 230 001 samples: a full 200 000-draw chunk in four slices, then a
-    # chunk of 30 001 in one partial slice.  Both estimates equal the loop
-    # that evaluates each chunk's integrand whole, to the bit.
-    def unsliced(req, samples, seed):
-        rng = np.random.default_rng(seed)
-        total = total_sq = 0.0
-        remaining = samples
-        while remaining > 0:
-            count = min(200_000, remaining)
-            tau = rng.uniform(0.0, 12.0, count)
-            phi = rng.uniform(0.0, 2.0 * math.pi, count)
-            psi = rng.uniform(-2.0 * math.pi, 2.0 * math.pi, count)
-            f = haar_integrand(req, tau, phi, psi)
-            total += float(np.sum(f))
-            total_sq += float(np.sum(f * f))
-            remaining -= count
-        mean = total / samples
-        variance = max(total_sq / samples - mean * mean, 0.0) / samples
-        return 12.0 * mean, 12.0 * math.sqrt(variance)
+def _whole_chunks(req, samples, seed, chunk=200_000):
+    """monte_carlo_haar's estimate, drawing each chunk whole from default_rng(seed).
 
+    A chunk of ``count`` points takes ``count`` tau draws, then ``count`` phi
+    draws, then ``count`` psi draws, and its integrand is evaluated in one call.
+    monte_carlo_haar draws the same values slice by slice from PCG64(seed)
+    generators advanced to each run of draws.  That rests on two properties
+    of NumPy that it does not document: default_rng(seed) starts in the state
+    of PCG64(seed), and Generator.uniform takes one 64-bit output per double.
+    The tests below that compare with this reference guard both.
+    """
+    rng = np.random.default_rng(seed)
+    total = total_sq = 0.0
+    remaining = samples
+    while remaining > 0:
+        count = min(chunk, remaining)
+        tau = rng.uniform(0.0, 12.0, count)
+        phi = rng.uniform(0.0, 2.0 * math.pi, count)
+        psi = rng.uniform(-2.0 * math.pi, 2.0 * math.pi, count)
+        f = haar_integrand(req, tau, phi, psi)
+        total += float(np.sum(f))
+        total_sq += float(np.sum(f * f))
+        remaining -= count
+    mean = total / samples
+    variance = max(total_sq / samples - mean * mean, 0.0) / samples
+    return [(12.0 * mean).hex(), (12.0 * math.sqrt(variance)).hex()]
+
+
+def _hex(est):
+    return [est.value.hex(), est.stderr.hex()]
+
+
+def test_monte_carlo_slices_leave_every_estimate_unchanged():
+    # 230 001 samples: a full 200 000-point chunk drawn and evaluated in
+    # slices, then a chunk of 30 001 in slices with a ragged last one.  Both
+    # estimates equal the loop that draws and evaluates each chunk whole.
     for case in [("3/2", "3/2", 1, 2, 1, 2), ("2", "1", 0, 0, 1, 1)]:
         req = OrthoRequest(*case)
-        est = monte_carlo_haar(req, 230_001, seed=4)
-        assert [est.value.hex(), est.stderr.hex()] == [v.hex() for v in unsliced(req, 230_001, 4)]
+        assert _hex(monte_carlo_haar(req, 230_001, seed=4)) == _whole_chunks(req, 230_001, 4)
+
+
+@pytest.mark.parametrize("slice_size", [1024, 3000, 5000])
+def test_monte_carlo_stream_layout_at_any_slice(monkeypatch, slice_size):
+    # Chunks of 5000 points: 12 345 samples make three chunks, the last one
+    # short, and the slices of 1024 and 3000 points end ragged in each.
+    monkeypatch.setattr(orthogonality, "_MC_CHUNK", 5000)
+    monkeypatch.setattr(orthogonality, "_MC_SLICE", slice_size)
+    for case in [("1", "1", 0, 0, 0, 0), ("3/2", "1", 1, 2, 0, 1)]:
+        req = OrthoRequest(*case)
+        for samples in (1, 1023, 5000, 12_345):
+            assert _hex(monte_carlo_haar(req, samples, seed=9)) \
+                == _whole_chunks(req, samples, 9, chunk=5000)
+
+
+def test_monte_carlo_spot_estimates_are_pinned():
+    # verify's five spot cases at 200 000 samples, seed 42 + i: (value, stderr).
+    pinned = [
+        (("1", "1", 0, 0, 0, 0), "0x1.00513d9568488p+1", "0x1.b334a48405056p-8"),
+        (("3/2", "3/2", 1, 1, 1, 1), "0x1.00cc9e3ca394dp+0", "0x1.f825d4deaf266p-9"),
+        (("1", "1", 0, 0, 1, 0), "0x1.6a65bcac972a5p-9", "0x1.5646fb96ed9b4p-8"),
+        (("1", "3/2", 0, 0, 0, 0), "-0x1.0c13ed1b3d892p-8", "0x1.189946b12ef40p-8"),
+        (("2", "1", 0, 0, 0, 0), "-0x1.14c8aba8020b8p-8", "0x1.c77d159d55cc4p-9"),
+    ]
+    for i, (case, value, stderr) in enumerate(pinned):
+        assert _hex(monte_carlo_haar(OrthoRequest(*case), 200_000, seed=42 + i)) == [value, stderr]
 
 
 def test_monte_carlo_validation():

@@ -188,6 +188,9 @@ def test_batch_matches_scalar():
     rows, cols = np.array([0, 7, 3, 12]), np.array([0, 2, 9, 12])
     values = matrix_element_batch("3/2", rows, cols, g.alpha, g.beta)
     assert values.tolist() == [matrix_element("3/2", int(i), int(j), g) for i, j in zip(rows, cols)]
+    # Every pair on the diagonal, broadcast to a shape that n alone lacks.
+    same = matrix_element_batch("3/2", np.array([[4], [4]]), np.array([[4, 4, 4]]), g.alpha, g.beta)
+    assert same.shape == (2, 3) and (same == matrix_element("3/2", 4, 4, g)).all()
     with pytest.raises(InvalidParams):
         matrix_element_batch("3/2", rows, cols, alpha[:4], beta[:4])
 
@@ -310,6 +313,17 @@ def test_block_entries_match_scalar_bit_for_bit():
                 assert block.entries[i, j] == matrix_element("3/2", int(i), int(j), g)
 
 
+def test_open_grids_give_the_full_grids_entries():
+    # Row and column vectors from np.ogrid, as the blocks pass them, give the
+    # entries of the full np.indices grids bit for bit, on both triangles.
+    g = from_cartan(2.1, 5.9, -0.4)
+    for eta, shape in (("1", (7, 31)), ("5/2", (40, 9)), ("3/2", (1, 1)), ("2", (25, 25))):
+        vectors = matrix_element_batch(eta, *np.ogrid[:shape[0], :shape[1]], g.alpha, g.beta)
+        grids = matrix_element_batch(eta, *np.indices(shape), g.alpha, g.beta)
+        assert vectors.shape == shape
+        assert vectors.tobytes() == grids.tobytes()
+
+
 def test_centre_acts_by_its_sign_on_blocks():
     # -1 is central and U(-1) = (-1)^(2 eta), so U(-g) = (-1)^(2 eta) U(g);
     # the entries differ in their last bits, since arg(-alpha) rounds apart.
@@ -405,8 +419,9 @@ def test_homomorphism_defect_random_pairs():
 
 
 def test_block_size_validation():
-    with pytest.raises(InvalidParams):
-        truncated_operator("1", IDENTITY, 0)
+    for size in (0, -1, -60):
+        with pytest.raises(InvalidParams, match="size must be >= 1"):
+            truncated_operator("1", IDENTITY, size)
     with pytest.raises(InvalidParams):
         unitarity_defect(truncated_operator("1", IDENTITY, 4), 5)
 

@@ -8,6 +8,7 @@ import pytest
 
 from su11 import (
     InvalidDamping,
+    InvalidParams,
     RepLabel,
     SingularAngle,
     UnsupportedClass,
@@ -184,6 +185,25 @@ def test_abel_sum_validation():
         abel_character_sum_closed_form("1", "1", 0.0, 1.0)
     with pytest.raises(UnsupportedClass):
         abel_character_sum_closed_form("1", "1", -0.4, 1.0)
+
+
+_TRUNCATED = {
+    "decompose": lambda n_max: decompose("1", "3/2", n_max).terms,
+    "abel_character_sum": lambda n_max: abel_character_sum("1", "3/2", 1.3, 0.9, n_max),
+}
+
+
+@pytest.mark.parametrize("call", _TRUNCATED.values(), ids=_TRUNCATED.keys())
+def test_n_max_must_be_an_int(call):
+    # True would sum two terms and 10.0 ten, were they taken as numbers.
+    for n_max in (True, False, 10.0, 2.5, np.float64(3.0), np.array(10), np.array([10]), "10"):
+        with pytest.raises(InvalidParams, match="n_max must be an int"):
+            call(n_max)
+    with pytest.raises(InvalidParams, match="n_max must be >= 0"):
+        call(np.int64(-1))
+    # A NumPy integer is taken as its int.
+    assert call(np.int64(10)) == call(10)
+    assert call(np.int32(0)) == call(0)
 
 
 def test_expansion_identity_frozen_and_grid():
