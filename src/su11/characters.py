@@ -31,9 +31,9 @@ import numpy as np
 from .errors import (
     BoundaryConjugacyClass,
     InvalidDamping,
-    InvalidParams,
     SingularAngle,
     UnsupportedClass,
+    as_count,
 )
 from .group import TWO_PI, CartanCoords, GroupElement
 from .halfint import RepLabel, as_rep_label
@@ -120,11 +120,12 @@ def character_cartan(eta, c: CartanCoords) -> CharacterValue:
     return CharacterValue(complex(value) + 0.0, regime)  # + 0.0 turns -0.0 parts into +0.0
 
 
-def _half_sine(theta: float) -> float:
+def half_sine(theta: float) -> float:
     """sin(theta/2) for theta in (0, 2*pi), outside the window ``character`` refuses.
 
     At h(theta), (Re alpha)^2 - 1 = -sin^2(theta/2): SingularAngle where that
     is within BOUNDARY_TOL of 0, else UnsupportedClass for any other angle.
+    These are the angle guards of every compact-character formula.
     """
     if not math.isfinite(theta):
         raise UnsupportedClass(f"theta must be finite, got {theta!r}")
@@ -144,7 +145,7 @@ def character_compact(eta, theta: float) -> complex:
     a different branch choice, so other angles are refused.
     """
     label = as_rep_label(eta)
-    s = _half_sine(theta)
+    s = half_sine(theta)
     return cmath.exp(0.5j * (1 - label.two_eta) * theta) / (2j * s)
 
 
@@ -164,25 +165,13 @@ def _diagonal(label: RepLabel, terms: int, bits: bytes) -> np.ndarray:
     return diagonal
 
 
-def _term_count(terms) -> int:
-    """``terms`` as an int >= 0, else InvalidParams; np.int64(10) and 10 give 10."""
-    if isinstance(terms, bool) or not isinstance(terms, (int, np.integer)):
-        raise InvalidParams(f"terms must be an int, got {terms!r}")
-    if terms < 0:
-        raise InvalidParams(f"terms must be >= 0, got {terms}")
-    return int(terms)
-
-
 def _diagonal_sum(eta, g: GroupElement, r: float, terms: int) -> complex:
     """sum_{n < terms} r^n U_{nn}(g), the terms added left to right, n = 0 first.
 
     np.cumsum adds one term at a time, left to right, and its last value is
-    the sum.  Through Python 3.13 the builtin ``sum`` adds complex numbers
-    the same way, which the acceptance test's exact comparison with it
-    relies on; a ``sum`` that compensates complex additions differs at
-    round-off.
+    the sum.
     """
-    terms = _term_count(terms)
+    terms = as_count(terms, "terms")
     if terms == 0:
         return 0j
     a, b = g.alpha, g.beta
@@ -205,8 +194,8 @@ def trace_partial_sum(eta, g: GroupElement, terms: int) -> complex:
     each term equals ``matrix_element(eta, n, n, g)`` bit for bit and the
     terms are added left to right, n = 0 first.  Consecutive calls here and in
     ``damped_trace_sum`` with the same (label, element, terms) reuse one
-    diagonal; at most one diagonal is held.  ``terms`` must be an int >= 0
-    (NumPy integers included), else InvalidParams.
+    diagonal; at most one diagonal is held.  ``terms`` is a count
+    (``errors.as_count``).
     """
     return _diagonal_sum(eta, g, 1.0, terms)
 
@@ -232,13 +221,13 @@ def abel_trace(eta, theta: float, r: float, terms: int) -> complex:
     takes the angles that ``character_compact`` takes.  Consecutive calls
     with the same (label, theta, terms), as at several dampings r, reuse one
     array of terms and differ only in the damping; at most one is held.
-    ``terms`` is checked as by ``trace_partial_sum``.
+    ``terms`` is a count (``errors.as_count``).
     """
     label = as_rep_label(eta)
     if not 0.0 < r < 1.0:
         raise InvalidDamping(f"damping must lie in (0, 1), got {r}")
-    _half_sine(theta)
-    terms = _term_count(terms)
+    half_sine(theta)
+    terms = as_count(terms, "terms")
     diagonal = _compact_diagonal(label, float(theta), terms)
     return complex(np.sum(r ** np.arange(terms) * diagonal))
 
@@ -253,8 +242,8 @@ def damped_trace_sum(eta, g: GroupElement, r: float, terms: int) -> complex:
     form for tau <= 4 (4000 terms), 7.9e-10 off at tau = 8 and 1.2e-2 off at
     tau = 20 (20 000 terms).  Consecutive calls with the same (label, element,
     terms), as at several dampings r, reuse one diagonal and differ only in
-    the damping; at most one diagonal is held.  ``terms`` is checked as by
-    ``trace_partial_sum``.
+    the damping; at most one diagonal is held.  ``terms`` is a count
+    (``errors.as_count``).
     """
     if not 0.0 < r < 1.0:
         raise InvalidDamping(f"damping must lie in (0, 1), got {r}")

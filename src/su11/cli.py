@@ -25,7 +25,7 @@ from .tensor import (
     decompose,
     multiplicity,
 )
-from .verify import SUITE_NAMES, run_suite
+from .verify import DEFAULTS, SUITE_NAMES, run_suite
 
 _CSV_COLUMNS = ("command", "inputs", "value_re", "value_im", "expected_re", "abs_error")
 
@@ -243,11 +243,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="run a verification suite")
     p.add_argument("--suite", choices=(*SUITE_NAMES, "all"), default="all")
-    p.add_argument("--max-index", type=_int_at_least(0), default=8, dest="max_index")
-    p.add_argument("--samples", type=_int_at_least(0), default=200_000)
-    p.add_argument("--seed", type=int, default=42)
-    p.add_argument("--size", type=int, default=60)
-    p.add_argument("--k", type=int, default=10)
+    p.add_argument("--max-index", type=_int_at_least(0), default=DEFAULTS["max_index"],
+                   dest="max_index")
+    p.add_argument("--samples", type=_int_at_least(0), default=DEFAULTS["samples"])
+    p.add_argument("--seed", type=int, default=DEFAULTS["seed"])
+    p.add_argument("--size", type=int, default=DEFAULTS["size"])
+    p.add_argument("--k", type=int, default=DEFAULTS["k"])
     p.add_argument("--tol", type=float, default=None)
     add_format(p)
     p.set_defaults(func=_cmd_verify)

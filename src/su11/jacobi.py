@@ -18,7 +18,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import InvalidParams
+from .errors import InvalidParams, as_count, as_index_array
 
 _TABLE_DEGREE = 100  # a scalar call forms coefficient tables from this degree on
 _BOUND = 2.0 ** 53  # the largest |a|, |b| and |x| taken: no coefficient can overflow
@@ -62,7 +62,7 @@ def jacobi_sequence(a, b: float, max_degree: int, x):
     b : float
         Second weight exponent, in (-1, 2**53].
     max_degree : int
-        Highest degree to evaluate, an int >= 0.
+        Highest degree to evaluate, a count (``errors.as_count``).
     x : float or ndarray
         Evaluation point(s), each with |x| <= 2**53.
 
@@ -76,10 +76,7 @@ def jacobi_sequence(a, b: float, max_degree: int, x):
     is_array = lanes or isinstance(x, np.ndarray)
     if not (_in_range(a) and _in_range(b) and _in_range(abs(x))):
         raise InvalidParams(f"need -1 < a, b <= 2**53 and |x| <= 2**53, got ({a}, {b}) at {x}")
-    if isinstance(max_degree, bool) or not isinstance(max_degree, (int, np.integer)):
-        raise InvalidParams(f"max_degree must be an int, got {max_degree!r}")
-    if max_degree < 0:
-        raise InvalidParams(f"max_degree must be >= 0, got {max_degree}")
+    max_degree = as_count(max_degree, "max_degree")
     values = [np.ones(np.broadcast_shapes(np.shape(a), np.shape(x))) if is_array else 1.0]
     if max_degree == 0:
         return values
@@ -164,12 +161,11 @@ def log_poch_ratio(two_eta: int, n, m):
     accurate to ulps of those small sums rather than of lgamma values in the
     thousands.  Integer arrays n, m give it elementwise, bit for bit as scalars.
     """
-    if type(n) is int and type(m) is int:
-        low, top = min(n, m), max(n, m)
+    if isinstance(n, np.ndarray) or isinstance(m, np.ndarray):
+        n, m = as_index_array(n, "n"), as_index_array(m, "m")
+        top = int(np.maximum(n, m).max())
     else:
-        low, top = np.minimum(n, m).min(), int(np.maximum(n, m).max())
-    if low < 0:
-        raise InvalidParams("indices must be >= 0")
+        top = max(as_count(n, "n"), as_count(m, "m"))
     partial = _log_poch_partials(two_eta, 1 << top.bit_length())
     return partial[n] - partial[m]
 
@@ -187,17 +183,14 @@ def gauss_legendre(order: int) -> tuple[np.ndarray, np.ndarray]:
     Parameters
     ----------
     order : int
-        Number of nodes, >= 1.
+        Number of nodes, a count >= 1 (``errors.as_count``).
 
     Returns
     -------
     tuple of ndarray
         Read-only ``(nodes, weights)``, nodes ascending.
     """
-    if isinstance(order, bool) or not isinstance(order, (int, np.integer)):
-        raise InvalidParams(f"order must be an int, got {order!r}")
-    if order < 1:
-        raise InvalidParams(f"order must be >= 1, got {order}")
+    order = as_count(order, "order", low=1)
     k = np.arange(1.0, order)
     off = k / np.sqrt(4.0 * k * k - 1.0)
     nodes, vectors = np.linalg.eigh(np.diag(off, 1) + np.diag(off, -1))

@@ -35,7 +35,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import InvalidParams
+from .errors import InvalidParams, as_count
 from .halfint import RepLabel, as_rep_label
 from .jacobi import gauss_legendre, jacobi_sequence, log_poch_ratio
 from .repmatrix import matrix_element_polar
@@ -47,7 +47,8 @@ _MC_TAU_MAX = 12.0  # boost cutoff of the Monte Carlo box
 
 @dataclass(frozen=True)
 class OrthoRequest:
-    """Labels and indices of one orthogonality integral."""
+    """Labels and indices of one orthogonality integral; each index a count
+    (``errors.as_count``), stored as an int."""
 
     eta1: RepLabel
     eta2: RepLabel
@@ -60,11 +61,7 @@ class OrthoRequest:
         object.__setattr__(self, "eta1", as_rep_label(self.eta1))
         object.__setattr__(self, "eta2", as_rep_label(self.eta2))
         for name in ("m", "m_prime", "n", "n_prime"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, int):
-                raise InvalidParams(f"index {name} must be an int, got {value!r}")
-            if value < 0:
-                raise InvalidParams(f"index {name} must be >= 0")
+            object.__setattr__(self, name, as_count(getattr(self, name), name))
 
 
 @dataclass(frozen=True)
@@ -106,23 +103,19 @@ def radial_integral(req: OrthoRequest) -> float:
     the four indices, up to 1024 of them, and this function and
     ``orthogonality_integral`` read the same entries; refusals are not kept.
     """
-    return _radial(req)[0]
-
-
-def _radial(req: OrthoRequest) -> tuple[float, int]:
-    """radial_integral's value and the order of the rule that gave it."""
     if not angular_selection(req):
         raise InvalidParams("radial_integral requires a request passing angular selection")
     if req.m_prime < req.m or req.n_prime < req.n:
         raise InvalidParams("radial_integral requires m' >= m and n' >= n")
     return _radial_value(req.eta1.two_eta, req.eta2.two_eta,
-                         req.m, req.m_prime, req.n, req.n_prime)
+                         req.m, req.m_prime, req.n, req.n_prime)[0]
 
 
 @lru_cache(maxsize=1024)
 def _radial_value(t1: int, t2: int, m: int, mp: int, n: int, np_: int) -> tuple[float, int]:
-    """_radial for a canonical selected request, keyed on its doubled labels
-    and indices.  An overflow raises, and lru_cache keeps no exception."""
+    """radial_integral's value and the order of the rule that gave it, for a
+    canonical selected request, keyed on its doubled labels and indices.  An
+    overflow raises, and lru_cache keeps no exception."""
     a = mp - m
     b = (t1 + t2) // 2 - 2
     need = (a + b + m + n) // 2 + 1
@@ -157,12 +150,11 @@ def orthogonality_integral(req: OrthoRequest) -> OrthoResult:
     if m > mp:
         # Swap both pairs through the min/max symmetry; the parity signs cancel.
         m, mp, n, np_ = mp, m, np_, n
-    canonical = OrthoRequest(req.eta1, req.eta2, m, mp, n, np_)
     t1, t2 = req.eta1.two_eta, req.eta2.two_eta
     prefactor = 2.0 ** (2 + m - mp - (t1 + t2) // 2) * math.exp(
         0.5 * (log_poch_ratio(t1, mp, m) + log_poch_ratio(t2, np_, n))
     )
-    value, order = _radial(canonical)
+    value, order = _radial_value(t1, t2, m, mp, n, np_)
     return OrthoResult(prefactor * value, True, expected, dim, order)
 
 
@@ -207,8 +199,8 @@ def monte_carlo_haar(req: OrthoRequest, samples: int, seed: int) -> MonteCarloEs
     -2.5e-5 at label 1 and (m, m') = (n, n') = (0, 0), -3.5e-3 at (10, 12),
     -4.7e-2 at (40, 47) and -2.2e-1 at (100, 100), but -6.0e-4 at label 3/2
     and (40, 47).  ``verify`` and the benchmark use indices <= 3.  The
-    integrand is haar_integrand, in polar form.  ``samples``
-    must be an int >= 1 and ``seed`` an int >= 0, else InvalidParams.
+    integrand is haar_integrand, in polar form.  ``samples`` is a count
+    >= 1 and ``seed`` a count (``errors.as_count``).
     Fixed seed and fixed chunking make the estimate bit-for-bit
     reproducible.  The stream of ``default_rng(seed)`` holds each chunk as
     its ``count`` tau draws, then its ``count`` phi draws, then its ``count``
@@ -220,13 +212,7 @@ def monte_carlo_haar(req: OrthoRequest, samples: int, seed: int) -> MonteCarloEs
     or that uniform takes one output per double; the tests check both
     against whole-chunk draws from default_rng(seed).
     """
-    for name, value in (("samples", samples), ("seed", seed)):
-        if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-            raise InvalidParams(f"{name} must be an int, got {value!r}")
-    if samples < 1:
-        raise InvalidParams(f"samples must be >= 1, got {samples}")
-    if seed < 0:
-        raise InvalidParams(f"seed must be >= 0, got {seed}")
+    samples, seed = as_count(samples, "samples", low=1), as_count(seed, "seed")
     total = 0.0
     total_sq = 0.0
     done = 0

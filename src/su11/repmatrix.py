@@ -57,7 +57,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import InvalidParams
+from .errors import InvalidParams, as_count, as_index_array
 from .group import CartanCoords, GroupElement, multiply
 from .halfint import RepLabel, as_rep_label
 from .jacobi import jacobi_sequence, log_poch_ratio
@@ -132,9 +132,8 @@ def _assemble(two_eta: int, n, n_prime, n_less, offset, alpha, beta, jac):
 def matrix_element(eta, n: int, n_prime: int, g: GroupElement) -> complex:
     """Matrix element U_{n n'}(g) in the algebraic (alpha, beta) form."""
     label = as_rep_label(eta)
+    n, n_prime = as_count(n, "n"), as_count(n_prime, "n_prime")
     m, d = min(n, n_prime), abs(n_prime - n)
-    if m < 0:
-        raise InvalidParams("basis indices must be >= 0")
     xarg = 1.0 - 2.0 * _z_squared(g.alpha, g.beta)
     jac = jacobi_sequence(float(d), float(label.two_eta - 1), m, xarg)[-1]
     return complex(_assemble(label.two_eta, n, n_prime, m, d, g.alpha, g.beta, jac))
@@ -144,9 +143,8 @@ def matrix_element_cartan(eta, n: int, n_prime: int, c: CartanCoords) -> complex
     """Matrix element in the chart form: explicit magnitude times phases."""
     label = as_rep_label(eta)
     te = label.two_eta
+    n, n_prime = as_count(n, "n"), as_count(n_prime, "n_prime")
     m, big = min(n, n_prime), max(n, n_prime)
-    if m < 0:
-        raise InvalidParams("basis indices must be >= 0")
     jac = jacobi_sequence(float(big - m), float(te - 1), m, c.x)[-1]
     pref = math.exp(0.5 * log_poch_ratio(te, big, m))
     # sech(tau/2) as 2 e^{-tau/2} / (1 + e^{-tau}): it underflows to 0 where cosh overflows.
@@ -170,9 +168,8 @@ def matrix_element_polar(eta, n: int, n_prime: int, abs2_alpha, z2, arg_alpha, a
     beyond double range with InvalidParams.
     """
     label = as_rep_label(eta)
+    n, n_prime = as_count(n, "n"), as_count(n_prime, "n_prime")
     m, d = min(n, n_prime), abs(n_prime - n)
-    if m < 0:
-        raise InvalidParams("basis indices must be >= 0")
     jac = jacobi_sequence(float(d), float(label.two_eta - 1), m, 1.0 - 2.0 * z2)[-1]
     sign, log_mag = _sign_log_modulus(label.two_eta, m, d, np.log(abs2_alpha),
                                       np.log(z2 + (z2 == 0.0)), z2, jac)
@@ -195,9 +192,7 @@ def matrix_element_batch(eta, n, n_prime, alpha, beta) -> np.ndarray:
     kept Jacobi factor beyond double range is refused with InvalidParams.
     """
     label = as_rep_label(eta)
-    n, n_prime = np.asarray(n), np.asarray(n_prime)
-    if np.any(n < 0) or np.any(n_prime < 0):
-        raise InvalidParams("basis indices must be >= 0")
+    n, n_prime = as_index_array(n, "n"), as_index_array(n_prime, "n_prime")
     alpha = np.asarray(alpha, dtype=complex)
     beta = np.asarray(beta, dtype=complex)
     xarg = 1.0 - 2.0 * _z_squared(alpha, beta)
@@ -236,8 +231,7 @@ def truncated_operator(eta, g: GroupElement, size: int) -> MatrixBlock:
     entries[i, j] reproduces matrix_element(eta, i, j, g) bit for bit.
     """
     label = as_rep_label(eta)
-    if size < 1:
-        raise InvalidParams(f"size must be >= 1, got {size}")
+    size = as_count(size, "size", low=1)
     out = matrix_element_batch(label, *np.ogrid[:size, :size], g.alpha, g.beta)
     out.setflags(write=False)
     return MatrixBlock(label, size, out, g)
@@ -250,7 +244,8 @@ def unitarity_defect(block: MatrixBlock, k: int) -> float:
     size^{2(k-1)} |z|^{2 (size - k)} as the block size grows.  The default
     budget (size 60, k 10) keeps it below 1e-8 for |z| <= 0.6.
     """
-    if not 1 <= k <= block.size:
+    k = as_count(k, "k", low=1)
+    if k > block.size:
         raise InvalidParams(f"k must lie in [1, size], got {k}")
     # The corner of B^dag B needs only the first k columns of B.
     b = block.entries[:, :k]
@@ -265,7 +260,8 @@ def homomorphism_defect(eta, g1: GroupElement, g2: GroupElement,
     the first k rows of U(g1) and the first k columns of U(g2).  They equal
     the block entries bit for bit, as every matrix_element_batch entry does.
     """
-    if not 1 <= k <= size:
+    size, k = as_count(size, "size", low=1), as_count(k, "k", low=1)
+    if k > size:
         raise InvalidParams(f"k must lie in [1, size], got {k}")
     label = as_rep_label(eta)
     g = multiply(g1, g2)

@@ -13,12 +13,10 @@ because its raw terms all have the same modulus.
 from __future__ import annotations
 
 import cmath
-import math
 from dataclasses import dataclass
-from numbers import Integral
 
-from .characters import abel_trace, character_compact, damped_trace_closed_form
-from .errors import InvalidDamping, InvalidParams
+from .characters import abel_trace, damped_trace_closed_form, half_sine
+from .errors import as_count
 from .group import compact_element
 from .halfint import RepLabel, as_rep_label
 
@@ -41,18 +39,6 @@ class Decomposition:
     truncation: int
 
 
-def _truncation(n_max) -> int:
-    """``n_max`` as an int >= 0, else InvalidParams; np.int64(10) and 10 give 10.
-
-    Bools, floats and arrays are refused, with a message that names n_max.
-    """
-    if isinstance(n_max, bool) or not isinstance(n_max, Integral):
-        raise InvalidParams(f"n_max must be an int, got {n_max!r}")
-    if n_max < 0:
-        raise InvalidParams(f"n_max must be >= 0, got {n_max}")
-    return int(n_max)
-
-
 def multiplicity(eta1, eta2, eta3) -> int:
     """1 when eta3 - eta1 - eta2 is a non-negative integer, else 0; exact."""
     l1, l2, l3 = as_rep_label(eta1), as_rep_label(eta2), as_rep_label(eta3)
@@ -63,11 +49,10 @@ def multiplicity(eta1, eta2, eta3) -> int:
 def decompose(eta1, eta2, n_max: int) -> Decomposition:
     """Terms (eta1 + eta2 + n, 1) for n = 0 ... n_max, ascending.
 
-    ``n_max`` must be an int >= 0 (a NumPy integer is taken as its int), else
-    InvalidParams.
+    ``n_max`` is a count (``errors.as_count``).
     """
     l1, l2 = as_rep_label(eta1), as_rep_label(eta2)
-    n_max = _truncation(n_max)
+    n_max = as_count(n_max, "n_max")
     base = l1.two_eta + l2.two_eta
     terms = tuple(
         DecompositionTerm(RepLabel(two_eta=base + 2 * n), 1)
@@ -83,8 +68,7 @@ def character_product(eta1, eta2, theta: float) -> complex:
     sin(theta/2) vanishes, UnsupportedClass outside (0, 2*pi).
     """
     l1, l2 = as_rep_label(eta1), as_rep_label(eta2)
-    character_compact(l1, theta)  # the angle guards; the value is not needed
-    s = math.sin(0.5 * theta)
+    s = half_sine(theta)
     coeff = 0.5 * (2 - l1.two_eta - l2.two_eta)
     return -0.25 / (s * s) * cmath.exp(1j * coeff * theta)
 
@@ -94,15 +78,13 @@ def abel_character_sum(eta1, eta2, theta: float, r: float, n_max: int = 50) -> c
 
     chi^{eta + n}(h(theta)) = exp(-i (eta + n) theta) / (1 - exp(-i theta)),
     so the series is the damped compact trace ``abel_trace`` of the lowest
-    summand, divided by 1 - exp(-i theta).  ``n_max`` is checked as by
-    ``decompose``.
+    summand, divided by 1 - exp(-i theta).  ``n_max`` is a count
+    (``errors.as_count``).
     """
     l1, l2 = as_rep_label(eta1), as_rep_label(eta2)
-    if not 0.0 < r < 1.0:
-        raise InvalidDamping(f"damping must lie in (0, 1), got {r}")
-    n_max = _truncation(n_max)
+    n_max = as_count(n_max, "n_max")
     base = RepLabel(two_eta=l1.two_eta + l2.two_eta)
-    # abel_trace refuses the angles that character_compact refuses.
+    # abel_trace refuses bad dampings and the angles that character_compact refuses.
     return abel_trace(base, theta, r, n_max + 1) / (1.0 - cmath.exp(-1j * theta))
 
 
@@ -113,6 +95,6 @@ def abel_character_sum_closed_form(eta1, eta2, theta: float, r: float) -> comple
     """
     l1, l2 = as_rep_label(eta1), as_rep_label(eta2)
     base = RepLabel(two_eta=l1.two_eta + l2.two_eta)
-    character_compact(base, theta)  # the angle guards; the value is not needed
+    half_sine(theta)  # the angle guards
     lead = damped_trace_closed_form(base, compact_element(theta), r)
     return lead / (1.0 - cmath.exp(-1j * theta))

@@ -25,8 +25,9 @@ from .characters import (
     character_compact,
     damped_trace_closed_form,
     damped_trace_sum,
+    half_sine,
 )
-from .errors import InvalidParams
+from .errors import InvalidParams, as_count
 from .group import compact_element, from_cartan, inverse, multiply, to_cartan
 from .halfint import RepLabel, as_rep_label
 from .jacobi import gauss_legendre
@@ -101,8 +102,7 @@ def gr_7391(a: float, b: float, m: int) -> float:
         raise InvalidParams(f"a must exceed -1, got {a}")
     if b <= 0.0:
         raise InvalidParams(f"b must be positive, got {b}")
-    if m < 0:
-        raise InvalidParams(f"m must be >= 0, got {m}")
+    m = as_count(m, "m")
     return math.exp(
         (a + b) * math.log(2.0)
         - math.log(b)
@@ -120,9 +120,9 @@ def verify_expansion_identity(theta: float) -> float:
     1/sin(theta/2); the two expressions agree identically, so the residual
     is pure round-off.  Angles are refused as by ``character_compact``.
     """
-    character_compact("1", theta)  # the angle guards; the value is not needed
+    s = half_sine(theta)
     limit = damped_trace_closed_form("1", compact_element(theta), 1.0)
-    return abs(1.0 / math.sin(0.5 * theta) - 2j * cmath.exp(0.5j * theta) * limit)
+    return abs(1.0 / s - 2j * cmath.exp(0.5j * theta) * limit)
 
 
 def quadrature_zeroth_moment(seed: int, max_order: int) -> CheckResult:
@@ -381,10 +381,10 @@ def expansion_identity() -> CheckResult:
     return _check("tensor", "expansion_identity", worst, 1e-13, grid=100)
 
 
-# The ``verify`` settings and their defaults, the CLI's where it has the
-# option.  Every check seeds itself from these, so its record does not
-# depend on the process that ran it.
-_DEFAULTS = {"max_index": 8, "samples": 200_000, "seed": 42, "size": 60, "k": 10,
+# The ``verify`` settings and their defaults, which the CLI's options take.
+# Every check seeds itself from these, so its record does not depend on the
+# process that ran it.
+DEFAULTS = {"max_index": 8, "samples": 200_000, "seed": 42, "size": 60, "k": 10,
              "n_random": 25}
 
 # Each suite's checks in registry order, grouped into the tasks that
@@ -413,27 +413,10 @@ _TASKS = {
     },
 }
 
-# run_suite's submission order, longest first (Graham's LPT rule), so the
-# short tasks fill in behind the long ones and the workers finish together.
-# The costs are medians of 18 runs of each task alone in a fresh process at
-# the default settings, on a 2-CPU machine (Python 3.11, NumPy 2.4).
-_LONGEST_FIRST = (
-    ("unitary", "blocks"),  # 152 ms: 75 size-60 blocks, 75 homomorphism defects
-    ("ortho", "monte_carlo"),  # 130 ms: 5 x 200 000 draws
-    ("ortho", "sweep"),  # 127 ms: 616 + 405 + 482 radial requests, 903 computed
-    ("character", "elliptic"),  # 44 ms: 36 Abel sums over 12 arrays of 20 000 terms
-    ("character", "chart"),  # 34 ms
-    ("unitary", "cross_form"),  # 26 ms
-    ("tensor", "all"),  # 25 ms
-    ("character", "rest"),  # 18 ms
-    ("ortho", "quadrature"),  # 15 ms
-)
-
-
 def _run_task(suite: str, task: str, params: dict) -> list:
     # Looked up by name inside the worker: a check replaced by a wrapping
     # closure cannot be pickled, but its name can.
-    return _TASKS[suite][task]({**_DEFAULTS, **params})
+    return _TASKS[suite][task]({**DEFAULTS, **params})
 
 
 def _run_in_process(suite: str, params: dict) -> list:
@@ -464,16 +447,9 @@ def run_suite(suite: str, **params) -> list:
     """Run one named suite, or all of them, in worker processes.
 
     The settings are ``max_index``, ``samples``, ``seed``, ``size``, ``k``
-    and ``n_random``, each defaulting to the CLI's value; others are
+    and ``n_random``, each defaulting to its ``DEFAULTS`` value; others are
     ignored.  The unit of work is a task of one or a few checks, and the
-    tasks go to one worker per CPU, at most one per task, longest first
-    (``_LONGEST_FIRST``).  Alone at the default settings on a 2-CPU machine
-    they take: the unitarity and homomorphism blocks 152 ms, the Monte Carlo
-    spot check 130 ms, the four radial-integral checks of the ortho suite
-    127 ms (together, since they share cached integrals), the elliptic Abel
-    residuals 44 ms, then chart form with the hyperbolic Abel limit, cross
-    form, the five tensor checks, Abel limit with class function and the
-    quadrature moments, 15-34 ms each.
+    tasks go to one worker per CPU, at most one per task, in registry order.
 
     The records come back in SUITE_NAMES order and, within a suite, in the
     order of its checks, exactly as the ``run_*`` runners return them in
@@ -488,9 +464,8 @@ def run_suite(suite: str, **params) -> list:
     from concurrent.futures import ProcessPoolExecutor
 
     names = SUITE_NAMES if suite == "all" else (suite,)
-    tasks = [key for key in _LONGEST_FIRST if key[0] in names]
+    tasks = [(name, task) for name in names for task in _TASKS[name]]
     workers = min(len(tasks), os.cpu_count() or 1)
     with ProcessPoolExecutor(max_workers=workers) as pool:
-        futures = {key: pool.submit(_run_task, *key, params) for key in tasks}
-        return [check for name in names for task in _TASKS[name]
-                for check in futures[name, task].result()]
+        futures = [pool.submit(_run_task, *key, params) for key in tasks]
+        return [check for future in futures for check in future.result()]

@@ -77,11 +77,14 @@ def test_criterion_04_unitarity_and_homomorphism(capsys):
 def _diagonal_partial_sums(eta, g, terms):
     """S_1 .. S_terms, where S_N = sum_{n < N} U_nn(g).
 
-    Each S_N is formed with the builtin ``sum`` over the same terms in the
-    same order as ``trace_partial_sum``, so S_terms equals it exactly.
+    The terms are added one at a time, left to right, n = 0 first, as
+    ``trace_partial_sum`` adds them, so S_terms equals it exactly.
     """
-    diagonal = [matrix_element(eta, n, n, g) for n in range(terms)]
-    return [sum(diagonal[:k], 0j) for k in range(1, terms + 1)]
+    partials, s = [], 0j
+    for n in range(terms):
+        s += matrix_element(eta, n, n, g)
+        partials.append(s)
+    return partials
 
 
 def _wynn_limit(partials):

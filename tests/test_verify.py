@@ -20,8 +20,6 @@ def test_all_equals_the_single_suites_in_order():
 
 def test_every_check_runs_in_exactly_one_pool_task():
     keys = [(suite, task) for suite in SUITE_NAMES for task in verify._TASKS[suite]]
-    assert len(verify._LONGEST_FIRST) == len(set(verify._LONGEST_FIRST)) == len(keys)
-    assert set(verify._LONGEST_FIRST) == set(keys)
     names = [check.name for key in keys for check in verify._run_task(*key, SMALL)]
     assert len(names) == len(set(names))
 
