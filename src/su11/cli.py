@@ -246,9 +246,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-index", type=_int_at_least(0), default=DEFAULTS["max_index"],
                    dest="max_index")
     p.add_argument("--samples", type=_int_at_least(0), default=DEFAULTS["samples"])
-    p.add_argument("--seed", type=int, default=DEFAULTS["seed"])
-    p.add_argument("--size", type=int, default=DEFAULTS["size"])
-    p.add_argument("--k", type=int, default=DEFAULTS["k"])
+    p.add_argument("--seed", type=_int_at_least(0), default=DEFAULTS["seed"])
+    p.add_argument("--size", type=_int_at_least(1), default=DEFAULTS["size"])
+    p.add_argument("--k", type=_int_at_least(1), default=DEFAULTS["k"])
     p.add_argument("--tol", type=float, default=None)
     add_format(p)
     p.set_defaults(func=_cmd_verify)

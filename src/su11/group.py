@@ -165,9 +165,20 @@ def inverse(g: GroupElement) -> GroupElement:
 
 
 def haar_density(coords) -> float:
-    """Invariant-measure density sinh(tau) / (8*pi^2) in d(tau) d(phi) d(psi)."""
+    """Invariant-measure density sinh(tau) / (8*pi^2) in d(tau) d(phi) d(psi).
+
+    ``coords`` is a CartanCoords or tau itself.  Like CartanCoords, it
+    refuses a tau that is negative or not finite with InvalidParams, and
+    also one past about 710.5, where sinh(tau) leaves double range; tau =
+    -0.0 gives +0.0.
+    """
     tau = coords.tau if isinstance(coords, CartanCoords) else float(coords)
-    return math.sinh(tau) / (8.0 * math.pi**2)
+    if not 0.0 <= tau < math.inf:
+        raise InvalidParams(f"tau must be finite and >= 0, got {tau}")
+    try:
+        return math.sinh(tau) / (8.0 * math.pi**2) + 0.0  # + 0.0 turns -0.0 into +0.0
+    except OverflowError:
+        raise InvalidParams(f"sinh(tau) leaves double range at tau = {tau}") from None
 
 
 def disk_point(g: GroupElement) -> DiskPoint:

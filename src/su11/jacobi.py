@@ -31,36 +31,39 @@ def _in_range(v) -> bool:
     return -1.0 < v <= _BOUND
 
 
-def jacobi_sequence(a, b: float, max_degree: int, x):
+def jacobi_sequence(a, b, max_degree: int, x):
     """All Jacobi polynomial values P_0 ... P_max_degree at x.
 
     Runs the classical three-term recurrence once and returns every degree,
     which is what block assembly and quadrature integrands actually consume.
-    An array ``a`` runs one lane per exponent (as many exponents at one x,
-    or one per point); every lane performs the same floating-point operations
-    as a scalar call, so its values agree bit for bit.
+    An array ``a`` or ``b`` runs one lane per exponent pair, the two
+    broadcast together (as many pairs at one x, or one per point, or a
+    column of pairs over a row of points); every lane performs the same
+    floating-point operations as a scalar call, so its values agree bit for
+    bit.  Blocks take a lane per offset ``a``, and a radial integral of two
+    labels a lane per ``b``.
 
-    A scalar ``a`` at a scalar ``x`` below degree 100 forms each step's
-    coefficients inside the loop, on Python floats.  Every other call forms
-    them before the loop, as one table with a row per degree and the lane
-    axes of an array ``a`` or ``x`` last; its fixed twenty or so small numpy
-    operations only the longer loops earn back.  Each coefficient is the
-    textbook loop's expression, so the values are unchanged to the bit.
+    A scalar ``a`` and ``b`` at a scalar ``x`` below degree 100 form each
+    step's coefficients inside the loop, on Python floats.  Every other call
+    forms them before the loop, as one table with a row per degree and the
+    lane axes of an array ``a``, ``b`` or ``x`` last; its fixed twenty or so
+    small numpy operations only the longer loops earn back.  Each coefficient
+    is the textbook loop's expression, so the values are unchanged to the bit.
 
     Inputs are bounded by 2**53, which bounds 2*eta - 1 for every label, so
-    no coefficient overflows, but the recurrence can.  A scalar ``a`` whose
-    last value is not finite is refused with InvalidParams; a step that is
-    not finite never becomes finite again, so that one check covers every
-    degree.  An array ``a`` runs every lane to ``max_degree``, and a lane
-    that overflows holds inf or NaN from there on, without a warning; its
-    caller keeps the degrees it needs and checks those.
+    no coefficient overflows, but the recurrence can.  A call without lanes
+    whose last value is not finite is refused with InvalidParams; a step that
+    is not finite never becomes finite again, so that one check covers every
+    degree.  A lane call runs every lane to ``max_degree``, and a lane that
+    overflows holds inf or NaN from there on, without a warning; its caller
+    keeps the degrees it needs and checks those.
 
     Parameters
     ----------
     a : float or ndarray
         First weight exponent(s), each in (-1, 2**53].
-    b : float
-        Second weight exponent, in (-1, 2**53].
+    b : float or ndarray
+        Second weight exponent(s), each in (-1, 2**53].
     max_degree : int
         Highest degree to evaluate, a count (``errors.as_count``).
     x : float or ndarray
@@ -70,14 +73,15 @@ def jacobi_sequence(a, b: float, max_degree: int, x):
     -------
     list
         ``[P_0(x), ..., P_max_degree(x)]``, scalars or arrays of the shape
-        ``a`` and ``x`` broadcast to.
+        ``a``, ``b`` and ``x`` broadcast to.
     """
-    lanes = isinstance(a, np.ndarray)
+    lanes = isinstance(a, np.ndarray) or isinstance(b, np.ndarray)
     is_array = lanes or isinstance(x, np.ndarray)
     if not (_in_range(a) and _in_range(b) and _in_range(abs(x))):
         raise InvalidParams(f"need -1 < a, b <= 2**53 and |x| <= 2**53, got ({a}, {b}) at {x}")
     max_degree = as_count(max_degree, "max_degree")
-    values = [np.ones(np.broadcast_shapes(np.shape(a), np.shape(x))) if is_array else 1.0]
+    values = [np.ones(np.broadcast_shapes(np.shape(a), np.shape(b), np.shape(x)))
+              if is_array else 1.0]
     if max_degree == 0:
         return values
     apb = a + b
@@ -98,10 +102,10 @@ def jacobi_sequence(a, b: float, max_degree: int, x):
             p0, p1 = p1, p
             values.append(p)
     else:
-        # Rows are degrees 2..max_degree; an array a adds its lane axes.
+        # Rows are degrees 2..max_degree; an array a or b adds its lane axes.
         n = np.arange(2.0, max_degree + 1)
         if lanes:
-            n = n.reshape((-1,) + (1,) * a.ndim)
+            n = n.reshape((-1,) + (1,) * max(np.ndim(a), np.ndim(b)))
         two_n = 2.0 * n
         s = two_n + apb
         s_minus_2 = s - 2.0

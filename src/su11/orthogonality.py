@@ -21,6 +21,8 @@ the left-hand side in three exact stages:
     and the arguments of alpha and beta directly, the algebraic kernel
     turns them into a sign, a log modulus and a phase per matrix element,
     and the product with the conjugate is one real exp times one cosine.
+    On the diagonal the product is |U|^2, which depends on tau alone, so
+    only tau is drawn.
 
 Indices with m > m' are mapped to the canonical ordering first; the
 magnitude part of a matrix element is symmetric in the index order and the
@@ -38,7 +40,7 @@ import numpy as np
 from .errors import InvalidParams, as_count
 from .halfint import RepLabel, as_rep_label
 from .jacobi import gauss_legendre, jacobi_sequence, log_poch_ratio
-from .repmatrix import matrix_element_polar
+from .repmatrix import keep_log_modulus, matrix_element_polar
 
 _MC_CHUNK = 200_000  # points per pairwise sum, and per layout of the stream
 _MC_SLICE = 16_384  # points per draw and integrand call, so temporaries stay in cache
@@ -75,6 +77,11 @@ class OrthoResult:
     order: int  # Gauss-Legendre order of the radial integral; 0 if not selected
 
 
+def _is_diagonal(req: OrthoRequest) -> bool:
+    """(eta1, m, m') = (eta2, n, n'): both factors are one matrix element."""
+    return (req.eta1, req.m, req.m_prime) == (req.eta2, req.n, req.n_prime)
+
+
 def formal_dimension(eta) -> Fraction:
     """Exact formal dimension d_eta = 2 / (2 eta - 1)."""
     label = as_rep_label(eta)
@@ -96,8 +103,10 @@ def radial_integral(req: OrthoRequest) -> float:
     polynomial of degree a + b + m + n, which a Gauss-Legendre rule of order
     need = (a + b + m + n) // 2 + 1 integrates exactly.  The rule used is
     the power of two >= need, exact all the same, so that integrals of
-    nearby degrees share one cached rule.  On the diagonal (eta1 = eta2,
-    hence m = n) one Jacobi sequence serves both factors.  Raises
+    nearby degrees share one cached rule.  Each request runs one Jacobi
+    recurrence: on the diagonal (eta1 = eta2, hence m = n) one sequence
+    serves both factors, and across labels one call with a lane per label
+    runs to degree max(m, n), with the same bits as two calls.  Raises
     InvalidParams where the Jacobi factors overflow (for example at
     eta = 1, m = a = 300).  Values are cached by the two doubled labels and
     the four indices, up to 1024 of them, and this function and
@@ -122,8 +131,11 @@ def _radial_value(t1: int, t2: int, m: int, mp: int, n: int, np_: int) -> tuple[
     order = 1 << (need - 1).bit_length()
     x, w = gauss_legendre(order)
     with np.errstate(over="ignore", invalid="ignore"):
-        p1 = jacobi_sequence(float(a), float(t1 - 1), m, x)[-1]
-        p2 = p1 if t1 == t2 else jacobi_sequence(float(a), float(t2 - 1), n, x)[-1]
+        if t1 == t2:  # the diagonal, m = n: one sequence serves both factors
+            p1 = p2 = jacobi_sequence(float(a), float(t1 - 1), m, x)[-1]
+        else:  # one lane per label, P_m read from the first and P_n from the second
+            p = jacobi_sequence(float(a), np.array([[t1 - 1.0], [t2 - 1.0]]), max(m, n), x)
+            p1, p2 = p[m][0], p[n][1]
         value = float(np.dot(w * (1.0 - x) ** a * (1.0 + x) ** b, p1 * p2))
     if not math.isfinite(value):
         raise InvalidParams(f"the Jacobi factors of ({m}, {mp}, {n}, {np_}) "
@@ -140,10 +152,7 @@ def orthogonality_integral(req: OrthoRequest) -> OrthoResult:
     that holds up to 1024 radial integrals.
     """
     dim = formal_dimension(req.eta1)
-    diagonal = (
-        req.eta1 == req.eta2 and req.m == req.n and req.m_prime == req.n_prime
-    )
-    expected = float(dim) if diagonal else 0.0
+    expected = float(dim) if _is_diagonal(req) else 0.0
     if not angular_selection(req):
         return OrthoResult(0.0, False, expected, dim, 0)
     m, mp, n, np_ = req.m, req.m_prime, req.n, req.n_prime
@@ -176,16 +185,24 @@ def haar_integrand(req: OrthoRequest, tau, phi, psi):
     the chart without forming either.  With U = s exp(l + i a) for each
     factor, the integrand is s1 s2 exp(l1 + l2) cos(a1 - a2) sinh(tau): one
     real exp and one cosine per point, and no complex array.  A diagonal
-    request has both factors equal, so it takes no cosine.
+    request, (eta1, m, m') = (eta2, n, n'), reads tau only: its integrand is
+    |U|^2 sinh(tau) = keep exp(l + l) sinh(tau), with the kernel's keep mask
+    and log modulus, since s * s is exactly the mask and the phases cancel.
+    It forms no angle and no sign, and ``phi`` and ``psi`` are not read.
     """
-    cosh_half = np.cosh(0.5 * tau)
-    tanh_half = np.tanh(0.5 * tau)
-    polar = (cosh_half * cosh_half, tanh_half * tanh_half, 0.5 * (phi + psi), 0.5 * (phi - psi))
-    first, second = (req.eta1, req.m, req.m_prime), (req.eta2, req.n, req.n_prime)
-    s1, l1, a1 = matrix_element_polar(*first, *polar)
-    if second == first:  # cos(a1 - a1) is exactly 1
-        return s1 * s1 * np.exp(l1 + l1) * np.sinh(tau)
-    s2, l2, a2 = matrix_element_polar(*second, *polar)
+    half = 0.5 * tau
+    cosh_half = np.cosh(half)
+    tanh_half = np.tanh(half)
+    abs2_alpha, z2 = cosh_half * cosh_half, tanh_half * tanh_half
+    if _is_diagonal(req):
+        two_eta, m, d = req.eta1.two_eta, min(req.m, req.m_prime), abs(req.m_prime - req.m)
+        jac = jacobi_sequence(float(d), float(two_eta - 1), m, 1.0 - 2.0 * z2)[-1]
+        keep, log_mag = keep_log_modulus(two_eta, m, d, np.log(abs2_alpha),
+                                         np.log(z2 + (z2 == 0.0)), z2, jac)
+        return keep * np.exp(log_mag + log_mag) * np.sinh(tau)
+    polar = (abs2_alpha, z2, 0.5 * (phi + psi), 0.5 * (phi - psi))
+    s1, l1, a1 = matrix_element_polar(req.eta1, req.m, req.m_prime, *polar)
+    s2, l2, a2 = matrix_element_polar(req.eta2, req.n, req.n_prime, *polar)
     return s1 * s2 * np.exp(l1 + l2) * np.cos(a1 - a2) * np.sinh(tau)
 
 
@@ -207,26 +224,32 @@ def monte_carlo_haar(req: OrthoRequest, samples: int, seed: int) -> MonteCarloEs
     psi draws, one 64-bit output per double.  Three generators advanced to
     those offsets draw the chunk slice by slice, and the integrand runs on
     each slice as it is drawn, so no point's value depends on the slice it
-    is in and no array but the chunk's values is chunk-sized.  NumPy does
+    is in and no array but the chunk's values is chunk-sized.  A diagonal
+    request, whose integrand reads tau only, builds the tau generator alone:
+    the phi and psi runs of the stream are skipped, not consumed, so the
+    layout and the estimate are those of a draw of all three.  NumPy does
     not document that default_rng(seed) starts in the state of PCG64(seed)
     or that uniform takes one output per double; the tests check both
     against whole-chunk draws from default_rng(seed).
     """
     samples, seed = as_count(samples, "samples", low=1), as_count(seed, "seed")
+    streams = 1 if _is_diagonal(req) else 3  # a diagonal integrand reads tau alone
+    phi = psi = 0.0
     total = 0.0
     total_sq = 0.0
     done = 0
     values = np.empty(min(_MC_CHUNK, samples))
     while done < samples:
         count = min(_MC_CHUNK, samples - done)
-        tau, phi, psi = (np.random.Generator(np.random.PCG64(seed).advance(3 * done + k * count))
-                         for k in range(3))
+        tau, *angles = (np.random.Generator(np.random.PCG64(seed).advance(3 * done + k * count))
+                        for k in range(streams))
         f = values[:count]
         for i in range(0, count, _MC_SLICE):
             n = min(_MC_SLICE, count - i)
-            f[i:i + n] = haar_integrand(req, tau.uniform(0.0, _MC_TAU_MAX, n),
-                                        phi.uniform(0.0, 2.0 * math.pi, n),
-                                        psi.uniform(-2.0 * math.pi, 2.0 * math.pi, n))
+            if angles:
+                phi = angles[0].uniform(0.0, 2.0 * math.pi, n)
+                psi = angles[1].uniform(-2.0 * math.pi, 2.0 * math.pi, n)
+            f[i:i + n] = haar_integrand(req, tau.uniform(0.0, _MC_TAU_MAX, n), phi, psi)
         total += float(np.sum(f))
         f *= f  # the same bits as np.sum(f * f), without a second chunk-sized array
         total_sq += float(np.sum(f))

@@ -73,19 +73,21 @@ def _z_squared(alpha, beta):
             / (alpha.real * alpha.real + alpha.imag * alpha.imag))
 
 
-def _sign_log_modulus(two_eta: int, n_less, offset, log_abs2_alpha, log_z2, z2, jac):
-    """(sign, log modulus) of U_{n n'}, the sign without the triangle's parity.
+def keep_log_modulus(two_eta: int, n_less, offset, log_abs2_alpha, log_z2, z2, jac):
+    """(keep, log modulus) of U_{n n'}: the kernel's modulus step.
 
     The element enters as log|alpha|^2, log|z|^2 (0 where z = 0) and |z|^2;
     the index data as n_<, d = n_> - n_< and the Jacobi factor
-    P_{n_<}^{(d, 2 eta - 1)}.  All arguments broadcast.  The sign is that of
-    the Jacobi factor, and 0 for entries with a zero Jacobi factor, or with
-    d > 0 at beta = 0, which keeps the identity block exact and compact
-    elements diagonal.  The Jacobi factor is finite: a recurrence that
-    overflows is refused by jacobi_sequence, or, for lanes, by
+    P_{n_<}^{(d, 2 eta - 1)}.  All arguments broadcast.  ``keep`` is False
+    for entries with a zero Jacobi factor, or with d > 0 at beta = 0, which
+    keeps the identity block exact and compact elements diagonal; |U_{n n'}|
+    is keep * exp(log modulus).  The Jacobi factor is finite: a recurrence
+    that overflows is refused by jacobi_sequence, or, for lanes, by
     matrix_element_batch.  The modulus is formed with augmented operators,
     in place on arrays and rebinding scalars, so a block entry and a scalar
-    entry go through the same ufuncs in the same order.
+    entry go through the same ufuncs in the same order.  Every form of the
+    kernel takes its modulus here, and so does the diagonal Monte Carlo
+    integrand, |U|^2, which needs no sign.
     """
     keep = (jac != 0.0) & ((offset == 0) | (z2 != 0.0))
     log_mag = log_poch_ratio(two_eta, n_less + offset, n_less)
@@ -94,8 +96,17 @@ def _sign_log_modulus(two_eta: int, n_less, offset, log_abs2_alpha, log_z2, z2, 
     log_mag += offset * (0.5 * log_z2)
     # Adding the boolean "== 0" turns a zero into 1, so every log is finite.
     log_mag += np.log(np.abs(jac + (jac == 0.0)))
-    sign = (1.0 * (jac > 0.0) - (jac < 0.0)) * keep
-    return sign, log_mag
+    return keep, log_mag
+
+
+def _sign_log_modulus(two_eta: int, n_less, offset, log_abs2_alpha, log_z2, z2, jac):
+    """(sign, log modulus) of U_{n n'}, the sign without the triangle's parity.
+
+    The arguments are those of keep_log_modulus.  The sign is that of the
+    Jacobi factor where the entry is kept, and 0 where it is not.
+    """
+    keep, log_mag = keep_log_modulus(two_eta, n_less, offset, log_abs2_alpha, log_z2, z2, jac)
+    return (1.0 * (jac > 0.0) - (jac < 0.0)) * keep, log_mag
 
 
 def _assemble(two_eta: int, n, n_prime, n_less, offset, alpha, beta, jac):
@@ -190,6 +201,7 @@ def matrix_element_batch(eta, n, n_prime, alpha, beta) -> np.ndarray:
     over a single element equals matrix_element bit for bit.  Lanes past an
     offset's last needed degree may overflow; they are discarded, and a
     kept Jacobi factor beyond double range is refused with InvalidParams.
+    Empty index arrays give an empty complex array of their broadcast shape.
     """
     label = as_rep_label(eta)
     n, n_prime = as_index_array(n, "n"), as_index_array(n_prime, "n_prime")
@@ -201,6 +213,8 @@ def matrix_element_batch(eta, n, n_prime, alpha, beta) -> np.ndarray:
     elif n.ndim or n_prime.ndim:
         raise InvalidParams("index arrays need a single group element")
     m = np.minimum(n, n_prime)
+    if m.size == 0:  # empty index arrays: no entry, so no recurrence
+        return np.empty(m.shape, dtype=complex)
     d = np.abs(n_prime - n)
     b = float(label.two_eta - 1)
     if np.min(d) == np.max(d):
@@ -237,18 +251,23 @@ def truncated_operator(eta, g: GroupElement, size: int) -> MatrixBlock:
     return MatrixBlock(label, size, out, g)
 
 
-def unitarity_defect(block: MatrixBlock, k: int) -> float:
+def unitarity_defect(block, k: int) -> float:
     """Max-norm of (B^dag B - I) on the leading k x k corner.
 
-    The defect is pure truncation error; for fixed k it decays like
+    The corner needs only the first k columns of B, so ``block`` is a
+    MatrixBlock or an array of a block's leading columns, such as
+    matrix_element_batch gives on np.ogrid[:size, :k]; both give the same
+    bits.  The defect is pure truncation error; for fixed k it decays like
     size^{2(k-1)} |z|^{2 (size - k)} as the block size grows.  The default
     budget (size 60, k 10) keeps it below 1e-8 for |z| <= 0.6.
     """
     k = as_count(k, "k", low=1)
-    if k > block.size:
+    entries = block.entries if isinstance(block, MatrixBlock) else np.asarray(block)
+    if entries.ndim != 2:
+        raise InvalidParams(f"need a MatrixBlock or a 2-D array of columns, got {entries.ndim}-D")
+    if k > entries.shape[1]:
         raise InvalidParams(f"k must lie in [1, size], got {k}")
-    # The corner of B^dag B needs only the first k columns of B.
-    b = block.entries[:, :k]
+    b = entries[:, :k]
     return float(np.max(np.abs(b.conj().T @ b - np.eye(k))))
 
 

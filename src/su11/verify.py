@@ -41,8 +41,8 @@ from .orthogonality import (
 from .repmatrix import (
     homomorphism_defect,
     matrix_element,
+    matrix_element_batch,
     matrix_element_cartan,
-    truncated_operator,
     unitarity_defect,
 )
 from .tensor import (
@@ -218,8 +218,10 @@ def block_defects(size: int, k: int, n_random: int, seed: int) -> list:
         for _ in range(n_random):
             g1 = _random_element(rng, 1.0)
             g2 = _random_element(rng, 1.0)
-            worst_u = max(worst_u, unitarity_defect(truncated_operator(eta, g1, size), k))
+            # homomorphism_defect refuses a bad size or k before any column is formed.
             worst_h = max(worst_h, homomorphism_defect(eta, g1, g2, size, k))
+            columns = matrix_element_batch(eta, *np.ogrid[:size, :k], g1.alpha, g1.beta)
+            worst_u = max(worst_u, unitarity_defect(columns, k))
         checks.append(_check("unitary", f"unitarity_eta_{eta}", worst_u, 1e-8,
                              size=size, k=k, n_random=n_random))
         checks.append(_check("unitary", f"homomorphism_eta_{eta}", worst_h, 1e-8,

@@ -9,7 +9,7 @@ import time
 import pytest
 
 from su11 import from_cartan, matrix_element
-from su11.cli import build_parser
+from su11.cli import build_parser, main
 
 
 def run_cli(*args):
@@ -220,6 +220,18 @@ def test_verify_rejects_negative_counts_as_usage_error():
         proc = run_cli("verify", "--suite", "ortho", option, "-3")
         assert proc.returncode == 2
         assert proc.stdout == ""
+
+
+def test_verify_refuses_bad_seed_size_and_k_as_usage_error(capsys):
+    # A negative seed, or a block size or corner below 1, is refused by
+    # argparse (exit 2) before any check runs; k > size is a domain error.
+    for option, value in (("--seed", "-1"), ("--size", "0"), ("--k", "0")):
+        with pytest.raises(SystemExit) as info:
+            main(["verify", "--suite", "unitary", option, value])
+        assert info.value.code == 2
+        assert f"{option}: expected an integer >=" in capsys.readouterr().err
+    assert main(["verify", "--suite", "unitary", "--size", "5", "--k", "6"]) == 3
+    assert capsys.readouterr().err == "InvalidParams: k must lie in [1, size], got 6\n"
 
 
 def test_verify_tol_override_can_fail():

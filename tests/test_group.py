@@ -221,6 +221,18 @@ def test_haar_density_values():
     assert haar_density(1.0) == pytest.approx(math.sinh(1.0) / (8 * math.pi**2), rel=1e-15)
 
 
+@pytest.mark.parametrize("tau", [-0.0, -1.0, -5e-324, math.nan, math.inf, -math.inf, 711.0, 1e4])
+def test_haar_density_keeps_its_domain(tau):
+    # tau = -0.0 is the origin, with density +0.0; a negative or non-finite
+    # tau, or one where sinh(tau) leaves double range, is refused.
+    if tau == 0.0:
+        density = haar_density(tau)
+        assert density == 0.0 and math.copysign(1.0, density) == 1.0
+    else:
+        with pytest.raises(InvalidParams, match="tau"):
+            haar_density(tau)
+
+
 def test_haar_volume_of_boost_ball():
     # Integrating the density over [0, T] x [0, 2pi) x [-2pi, 2pi) must give
     # cosh(T) - 1; the radial integral is done with an independent

@@ -202,9 +202,13 @@ def test_non_integer_degree_rejected():
 
 
 def textbook_jacobi_sequence(a, b, max_degree, x):
-    """The recurrence with every coefficient formed inside the per-degree loop."""
-    is_array = isinstance(a, np.ndarray) or isinstance(x, np.ndarray)
-    values = [np.ones(np.broadcast_shapes(np.shape(a), np.shape(x))) if is_array else 1.0]
+    """The recurrence with every coefficient formed inside the per-degree loop.
+
+    Arrays ``a``, ``b`` and ``x`` broadcast together, one lane per entry.
+    """
+    is_array = any(isinstance(v, np.ndarray) for v in (a, b, x))
+    values = [np.ones(np.broadcast_shapes(np.shape(a), np.shape(b), np.shape(x)))
+              if is_array else 1.0]
     if max_degree == 0:
         return values
     apb = a + b
@@ -281,6 +285,30 @@ def test_recurrence_matches_textbook_loop_bit_for_bit():
 # ----------------------------------------------------------------------
 # log_poch_ratio
 # ----------------------------------------------------------------------
+
+def test_lanes_over_b_match_textbook_loop_bit_for_bit():
+    # A column of b exponents over a row of points, as a radial integral of
+    # two labels runs them: every lane equals the textbook loop and its own
+    # scalar-b call, on both sides of the scalar path's switch to tables.
+    rng = np.random.default_rng(26)
+    for degree in (0, 1, 2, 12, 40, _TABLE_DEGREE + 5):
+        x = np.append(gauss_legendre(degree // 2 + 2)[0], [-1.0, 1.0])
+        a = float(rng.integers(0, 8))
+        b = np.array([[1.0], [4.0], [float(rng.uniform(-0.9, 30.0))]])
+        got = jacobi_sequence(a, b, degree, x)
+        assert_same_bits(got, textbook_jacobi_sequence(a, b, degree, x))
+        for lane in range(3):
+            assert_same_bits([p[lane] for p in got],
+                             jacobi_sequence(a, float(b[lane, 0]), degree, x))
+    # b lanes at one x, and a and b lanes paired entry by entry.
+    b = rng.uniform(-0.9, 30.0, 50)
+    for a, x in [(3.0, 0.3), (rng.uniform(-0.9, 30.0, 50), -0.7)]:
+        got = jacobi_sequence(a, b, _TABLE_DEGREE - 1, x)
+        assert_same_bits(got, textbook_jacobi_sequence(a, b, _TABLE_DEGREE - 1, x))
+        lane_a = np.broadcast_to(a, b.shape)
+        assert [p[7] for p in got] == jacobi_sequence(float(lane_a[7]), float(b[7]),
+                                                      _TABLE_DEGREE - 1, x)
+
 
 def test_poch_ratio_trivial_and_frozen():
     assert log_poch_ratio(4, 3, 3) == 0.0

@@ -9,6 +9,7 @@ import pytest
 from su11 import (
     InvalidParams,
     OrthoRequest,
+    RepLabel,
     angular_selection,
     as_rep_label,
     formal_dimension,
@@ -21,6 +22,7 @@ from su11 import (
 )
 from su11 import orthogonality
 from su11.orthogonality import haar_integrand
+from su11.repmatrix import matrix_element_polar
 from su11.verify import UNSELECTED, gr_7391, monte_carlo_spot
 
 ETAS = ["1", "3/2", "2", "5/2", "3"]
@@ -202,6 +204,31 @@ def test_large_index_integrals():
         orthogonality_integral(OrthoRequest("1", "1", 300, 600, 300, 600))
 
 
+def _two_call_radial(t1, t2, m, mp, n):
+    """The canonical radial integral from one Jacobi recurrence per label."""
+    a, b = mp - m, (t1 + t2) // 2 - 2
+    need = (a + b + m + n) // 2 + 1
+    x, w = gauss_legendre(1 << (need - 1).bit_length())
+    p1 = jacobi_sequence(float(a), float(t1 - 1), m, x)[-1]
+    p2 = jacobi_sequence(float(a), float(t2 - 1), n, x)[-1]
+    return float(np.dot(w * (1.0 - x) ** a * (1.0 + x) ** b, p1 * p2))
+
+
+def test_cross_label_radial_integral_equals_two_calls_bit_for_bit():
+    # One call with a lane per label gives each label's own sequence.
+    labels = range(2, 8)  # 2 eta for eta = 1 ... 7/2
+    for t1, t2 in product(labels, labels):
+        if t1 == t2 or (t1 - t2) % 2:
+            continue
+        shift = (t1 - t2) // 2
+        for m, a in product((0, 1, 2, 7, 19, 40), (0, 1, 4)):
+            n = m + shift
+            if n < 0:
+                continue
+            req = OrthoRequest(RepLabel(two_eta=t1), RepLabel(two_eta=t2), m, m + a, n, n + a)
+            assert radial_integral(req).hex() == _two_call_radial(t1, t2, m, m + a, n).hex()
+
+
 def test_transposed_requests_share_one_radial_integral(clear_su11_caches):
     # (m, m') and (m', m) map to one canonical request, so the second is a hit.
     cache = orthogonality._radial_value
@@ -316,6 +343,35 @@ def test_monte_carlo_stream_layout_at_any_slice(monkeypatch, slice_size):
         for samples in (1, 1023, 5000, 12_345):
             assert _hex(monte_carlo_haar(req, samples, seed=9)) \
                 == _whole_chunks(req, samples, 9, chunk=5000)
+
+
+def test_diagonal_monte_carlo_draws_tau_alone(monkeypatch):
+    # A diagonal request draws only tau, skipping the phi and psi runs of
+    # the stream; over several chunks its estimates equal the whole-chunk
+    # draws of all three coordinates.
+    monkeypatch.setattr(orthogonality, "_MC_CHUNK", 300)
+    monkeypatch.setattr(orthogonality, "_MC_SLICE", 128)
+    for eta, m, mp in product(ETAS, range(4), range(4)):
+        req = OrthoRequest(eta, eta, m, mp, m, mp)
+        for seed in range(3):
+            assert _hex(monte_carlo_haar(req, 700, seed)) \
+                == _whole_chunks(req, 700, seed, chunk=300), (eta, m, mp, seed)
+
+
+def test_diagonal_integrand_equals_polar_route_bit_for_bit():
+    # |U|^2 sinh(tau) from the keep mask and the log modulus alone is
+    # s * s * exp(l + l) * sinh(tau) of matrix_element_polar: s * s is the
+    # mask as 0.0 or 1.0, and the phases cancel.
+    rng = np.random.default_rng(26)
+    tau = np.concatenate([[0.0, 12.0, 30.0], rng.uniform(0.0, 12.0, 2000)])
+    phi = rng.uniform(0.0, 2.0 * math.pi, tau.size)
+    psi = rng.uniform(-2.0 * math.pi, 2.0 * math.pi, tau.size)
+    cosh_half, tanh_half = np.cosh(0.5 * tau), np.tanh(0.5 * tau)
+    polar = (cosh_half * cosh_half, tanh_half * tanh_half, 0.5 * (phi + psi), 0.5 * (phi - psi))
+    for eta, m, mp in product(ETAS, range(4), range(4)):
+        s, l, _ = matrix_element_polar(eta, m, mp, *polar)
+        got = haar_integrand(OrthoRequest(eta, eta, m, mp, m, mp), tau, phi, psi)
+        assert np.array_equal(got, s * s * np.exp(l + l) * np.sinh(tau)), (eta, m, mp)
 
 
 def test_monte_carlo_spot_estimates_are_pinned():

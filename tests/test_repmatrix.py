@@ -195,6 +195,16 @@ def test_batch_matches_scalar():
         matrix_element_batch("3/2", rows, cols, alpha[:4], beta[:4])
 
 
+def test_batch_on_empty_index_arrays_is_empty():
+    # No entry, so no recurrence: an empty complex array of the broadcast
+    # shape, as empty element arrays give shape (0,).
+    g = from_cartan(0.7, 0.3, -0.4)
+    for n, n_prime in (np.ogrid[:0, :3], np.ogrid[:3, :0], (np.arange(0), np.arange(0))):
+        out = matrix_element_batch("1", n, n_prime, g.alpha, g.beta)
+        assert out.dtype == complex
+        assert out.shape == np.broadcast_shapes(n.shape, n_prime.shape)
+
+
 # ----------------------------------------------------------------------
 # Large indices and large tau
 # ----------------------------------------------------------------------
@@ -424,6 +434,20 @@ def test_block_size_validation():
             truncated_operator("1", IDENTITY, size)
     with pytest.raises(InvalidParams):
         unitarity_defect(truncated_operator("1", IDENTITY, 4), 5)
+
+
+def test_unitarity_defect_from_leading_columns():
+    # The k x size corner reads only the first k columns, so the columns
+    # alone, from open grids, give the block's defect bit for bit.
+    g = from_cartan(0.8, 1.1, -2.0)
+    block = truncated_operator("3/2", g, 40)
+    for k in (1, 10, 40):
+        columns = matrix_element_batch("3/2", *np.ogrid[:40, :k], g.alpha, g.beta)
+        assert unitarity_defect(columns, k) == unitarity_defect(block, k)
+    with pytest.raises(InvalidParams, match=r"k must lie in \[1, size\]"):
+        unitarity_defect(columns[:, :5], 6)
+    with pytest.raises(InvalidParams, match="2-D"):
+        unitarity_defect(columns[:, 0], 1)
 
 
 def _full_unitarity_defect(block, k):

@@ -28,7 +28,7 @@ def test_worker_error_is_raised_by_run_suite():
     with pytest.raises(InvalidParams, match="size must be >= 1, got 0") as info:
         run_suite("all", **{**SMALL, "size": 0})
     # A worker's exception carries the worker's traceback as its cause.
-    assert "truncated_operator" in str(info.value.__cause__)
+    assert "homomorphism_defect" in str(info.value.__cause__)
 
 
 def test_unknown_suite_is_refused():
