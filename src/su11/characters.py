@@ -34,6 +34,7 @@ from .errors import (
     SingularAngle,
     UnsupportedClass,
     as_count,
+    as_real,
 )
 from .group import TWO_PI, CartanCoords, GroupElement
 from .halfint import RepLabel, as_rep_label
@@ -61,8 +62,12 @@ def damped_trace_closed_form(eta, g: GroupElement, r: float) -> complex:
     R.  The one branch rule is Re(rho conj(alpha)) > 0, R's principal root.
     At r = 1 it is the character, and it raises BoundaryConjugacyClass
     within ``BOUNDARY_TOL`` of (Re alpha)^2 = 1 (the parabolic classes).
+    Where a partial product of the power half^(1 - 2 eta) leaves double
+    range, the power is taken in log space, so a value below double range
+    rounds to 0j.
     """
     label = as_rep_label(eta)
+    r = as_real(r, "damping", InvalidDamping)
     if not 0.0 < r <= 1.0:
         raise InvalidDamping(f"damping must lie in (0, 1], got {r}")
     u, v = g.alpha.real, g.alpha.imag
@@ -77,7 +82,10 @@ def damped_trace_closed_form(eta, g: GroupElement, r: float) -> complex:
     if rho.real * u + rho.imag * v < 0.0:
         rho = -rho
     half = 0.5 * (complex((1.0 + r) * u, gap * v) + rho)
-    return half ** (1 - label.two_eta) / rho + 0.0  # + 0.0 turns an imaginary -0.0 into +0.0
+    power = half ** (1 - label.two_eta)
+    if not cmath.isfinite(power):  # a partial product of the power left double range
+        return cmath.exp((1 - label.two_eta) * cmath.log(half) - cmath.log(rho)) + 0j
+    return power / rho + 0j  # + 0j turns -0.0 parts into +0.0
 
 
 def character(eta, g: GroupElement) -> CharacterValue:
@@ -117,7 +125,7 @@ def character_cartan(eta, c: CartanCoords) -> CharacterValue:
         root = 1j * math.copysign(math.sqrt(-d), math.sin(half))  # sign of Im(alpha)
         regime = ELLIPTIC
     value = s / (2.0 * root) * (s / (h + root)) ** (label.two_eta - 1)
-    return CharacterValue(complex(value) + 0.0, regime)  # + 0.0 turns -0.0 parts into +0.0
+    return CharacterValue(complex(value) + 0j, regime)  # + 0j turns -0.0 parts into +0.0
 
 
 def half_sine(theta: float) -> float:
@@ -127,6 +135,7 @@ def half_sine(theta: float) -> float:
     is within BOUNDARY_TOL of 0, else UnsupportedClass for any other angle.
     These are the angle guards of every compact-character formula.
     """
+    theta = as_real(theta, "theta", UnsupportedClass)
     if not math.isfinite(theta):
         raise UnsupportedClass(f"theta must be finite, got {theta!r}")
     s = math.sin(0.5 * theta)
@@ -200,36 +209,25 @@ def trace_partial_sum(eta, g: GroupElement, terms: int) -> complex:
     return _diagonal_sum(eta, g, 1.0, terms)
 
 
-@lru_cache(maxsize=1, typed=True)
-def _compact_diagonal(label: RepLabel, theta: float, terms: int) -> np.ndarray:
-    """The read-only diagonal exp(-i (eta + n) theta) at h(theta), n < terms.
-
-    The Abel sums at several dampings of one (label, angle, terms) read one
-    array, and one is held at a time.
-    """
-    n = np.arange(terms)
-    diagonal = np.exp(-1j * (0.5 * label.two_eta + n) * theta)
-    diagonal.flags.writeable = False
-    return diagonal
-
-
 def abel_trace(eta, theta: float, r: float, terms: int) -> complex:
     """Damped diagonal sum at h(theta): sum_{n < terms} r^n exp(-i (eta + n) theta).
 
     The elliptic diagonal series has unit-modulus terms, so only this damped
     form converges; as r -> 1 it tends to the compact character, and it
-    takes the angles that ``character_compact`` takes.  Consecutive calls
-    with the same (label, theta, terms), as at several dampings r, reuse one
-    array of terms and differ only in the damping; at most one is held.
+    takes the angles that ``character_compact`` takes.  The terms form one
+    geometric sequence: each is one complex exponential exp(n (log r - i
+    theta)), and their sum is multiplied by the lead exp(-i eta theta).
     ``terms`` is a count (``errors.as_count``).
     """
     label = as_rep_label(eta)
+    r = as_real(r, "damping", InvalidDamping)
     if not 0.0 < r < 1.0:
         raise InvalidDamping(f"damping must lie in (0, 1), got {r}")
     half_sine(theta)
-    terms = as_count(terms, "terms")
-    diagonal = _compact_diagonal(label, float(theta), terms)
-    return complex(np.sum(r ** np.arange(terms) * diagonal))
+    theta, terms = float(theta), as_count(terms, "terms")  # a NumPy float32 would round the lead
+    lead = cmath.exp(-0.5j * label.two_eta * theta)
+    # + 0j turns the -0.0 parts of lead * 0j, at terms = 0, into +0.0.
+    return lead * complex(np.sum(np.exp(np.arange(terms) * complex(math.log(r), -theta)))) + 0j
 
 
 def damped_trace_sum(eta, g: GroupElement, r: float, terms: int) -> complex:
@@ -245,6 +243,7 @@ def damped_trace_sum(eta, g: GroupElement, r: float, terms: int) -> complex:
     the damping; at most one diagonal is held.  ``terms`` is a count
     (``errors.as_count``).
     """
+    r = as_real(r, "damping", InvalidDamping)
     if not 0.0 < r < 1.0:
         raise InvalidDamping(f"damping must lie in (0, 1), got {r}")
     return _diagonal_sum(eta, g, r, terms)

@@ -1,4 +1,4 @@
-"""Exception types shared across the package, and the rule for counts and indices."""
+"""Exception types shared across the package, and the rules for counts, indices and reals."""
 import numpy as np
 
 
@@ -43,6 +43,20 @@ def as_count(value, name: str, low: int = 0) -> int:
     if value < low:
         raise InvalidParams(f"{name} must be >= {low}, got {value}")
     return int(value)
+
+
+def as_real(value, name: str, error=InvalidParams) -> float:
+    """``value`` as a Python float, else ``error`` naming ``name``.
+
+    The one rule for every real argument: an int, a float, or a NumPy
+    integer or float, not a bool.  Each caller passes its own domain error,
+    and checks the range itself.
+    """
+    if type(value) is float:  # the hot path's case, in one test
+        return value
+    if isinstance(value, bool) or not isinstance(value, (int, float, np.integer, np.floating)):
+        raise error(f"{name} must be a real number, got {value!r}")
+    return float(value)
 
 
 def as_index_array(value, name: str) -> np.ndarray:

@@ -20,7 +20,7 @@ import cmath
 import math
 from dataclasses import dataclass
 
-from .errors import DeterminantViolation, InvalidParams, UnsupportedClass
+from .errors import DeterminantViolation, InvalidParams, UnsupportedClass, as_real
 
 TWO_PI = 2.0 * math.pi
 FOUR_PI = 4.0 * math.pi
@@ -38,10 +38,16 @@ class GroupElement:
     beta: complex
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "alpha", complex(self.alpha))
-        object.__setattr__(self, "beta", complex(self.beta))
-        a2 = self.alpha.real**2 + self.alpha.imag**2
-        b2 = self.beta.real**2 + self.beta.imag**2
+        try:
+            object.__setattr__(self, "alpha", complex(self.alpha))
+            object.__setattr__(self, "beta", complex(self.beta))
+        except (TypeError, ValueError):
+            raise InvalidParams(
+                f"alpha and beta must be numbers, got {self.alpha!r} and {self.beta!r}"
+            ) from None
+        # x * x, not x**2: a float power raises OverflowError, a product gives inf.
+        a2 = self.alpha.real * self.alpha.real + self.alpha.imag * self.alpha.imag
+        b2 = self.beta.real * self.beta.real + self.beta.imag * self.beta.imag
         if not math.isfinite(a2) or not math.isfinite(b2) or not (
             abs(a2 - b2 - 1.0) <= DET_TOL * max(1.0, a2)
         ):
@@ -51,8 +57,8 @@ class GroupElement:
 
     def det(self) -> float:
         """|alpha|^2 - |beta|^2 (equals 1 up to round-off by construction)."""
-        return (self.alpha.real**2 + self.alpha.imag**2) - (
-            self.beta.real**2 + self.beta.imag**2
+        return (self.alpha.real * self.alpha.real + self.alpha.imag * self.alpha.imag) - (
+            self.beta.real * self.beta.real + self.beta.imag * self.beta.imag
         )
 
 
@@ -84,18 +90,18 @@ class CartanCoords:
     psi: float
 
     def __post_init__(self) -> None:
-        if not all(math.isfinite(v) for v in (self.tau, self.phi, self.psi)):
-            raise InvalidParams(
-                f"chart coordinates must be finite, got ({self.tau}, {self.phi}, {self.psi})"
-            )
-        if self.tau < 0.0:
-            raise InvalidParams(f"tau must be >= 0, got {self.tau}")
-        phi = _wrap_phi(float(self.phi))
+        tau = as_real(self.tau, "tau")
+        phi, psi = as_real(self.phi, "phi"), as_real(self.psi, "psi")
+        if not all(math.isfinite(v) for v in (tau, phi, psi)):
+            raise InvalidParams(f"chart coordinates must be finite, got ({tau}, {phi}, {psi})")
+        if tau < 0.0:
+            raise InvalidParams(f"tau must be >= 0, got {tau}")
+        wrapped = _wrap_phi(phi)
         # Shift psi by the same 2*pi turns as phi, so alpha and beta keep their sign.
-        turns = round((self.phi - phi) / TWO_PI)
-        object.__setattr__(self, "tau", float(self.tau))
-        object.__setattr__(self, "phi", phi)
-        object.__setattr__(self, "psi", _wrap_psi(float(self.psi) - TWO_PI * turns))
+        turns = round((phi - wrapped) / TWO_PI)
+        object.__setattr__(self, "tau", tau)
+        object.__setattr__(self, "phi", wrapped)
+        object.__setattr__(self, "psi", _wrap_psi(psi - TWO_PI * turns))
 
     @property
     def x(self) -> float:
@@ -117,17 +123,24 @@ class DiskPoint:
 
 
 def from_cartan(coords, phi: float | None = None, psi: float | None = None) -> GroupElement:
-    """Element of the chart point; accepts CartanCoords or (tau, phi, psi)."""
+    """Element of the chart point; accepts CartanCoords or (tau, phi, psi).
+
+    A tau past about 711.17, where |alpha|^2 = cosh^2(tau/2) leaves double
+    range, is refused with InvalidParams.  alpha and beta have no -0.0 part.
+    """
     if not isinstance(coords, CartanCoords):
         if phi is None or psi is None:
-            raise TypeError("from_cartan expects CartanCoords or (tau, phi, psi)")
-        coords = CartanCoords(float(coords), float(phi), float(psi))
+            raise InvalidParams("from_cartan expects CartanCoords or (tau, phi, psi)")
+        coords = CartanCoords(coords, phi, psi)
     elif phi is not None or psi is not None:
-        raise TypeError("phi/psi are only accepted together with a scalar tau")
+        raise InvalidParams("phi/psi are only accepted together with a scalar tau")
     half = 0.5 * coords.tau
-    alpha = math.cosh(half) * cmath.exp(0.5j * (coords.phi + coords.psi))
-    beta = math.sinh(half) * cmath.exp(0.5j * (coords.phi - coords.psi))
-    return GroupElement(alpha, beta)
+    try:
+        alpha = math.cosh(half) * cmath.exp(0.5j * (coords.phi + coords.psi))
+        beta = math.sinh(half) * cmath.exp(0.5j * (coords.phi - coords.psi))
+        return GroupElement(alpha + 0j, beta + 0j)  # + 0j turns -0.0 parts into +0.0
+    except (OverflowError, DeterminantViolation):
+        raise InvalidParams(f"|alpha|^2 leaves double range at tau = {coords.tau}") from None
 
 
 def to_cartan(g: GroupElement) -> CartanCoords:
@@ -147,6 +160,7 @@ def to_cartan(g: GroupElement) -> CartanCoords:
 
 def compact_element(theta: float) -> GroupElement:
     """The maximal-compact-subgroup element h(theta) = diag(e^{i theta/2}, e^{-i theta/2})."""
+    theta = as_real(theta, "theta", UnsupportedClass)
     if not math.isfinite(theta):
         raise UnsupportedClass(f"theta must be finite, got {theta!r}")
     return GroupElement(cmath.exp(0.5j * theta), 0.0)
@@ -168,11 +182,11 @@ def haar_density(coords) -> float:
     """Invariant-measure density sinh(tau) / (8*pi^2) in d(tau) d(phi) d(psi).
 
     ``coords`` is a CartanCoords or tau itself.  Like CartanCoords, it
-    refuses a tau that is negative or not finite with InvalidParams, and
-    also one past about 710.5, where sinh(tau) leaves double range; tau =
-    -0.0 gives +0.0.
+    refuses a tau that is negative, not finite or not a real number with
+    InvalidParams, and also one past about 710.5, where sinh(tau) leaves
+    double range; tau = -0.0 gives +0.0.
     """
-    tau = coords.tau if isinstance(coords, CartanCoords) else float(coords)
+    tau = coords.tau if isinstance(coords, CartanCoords) else as_real(coords, "tau")
     if not 0.0 <= tau < math.inf:
         raise InvalidParams(f"tau must be finite and >= 0, got {tau}")
     try:

@@ -80,14 +80,15 @@ def keep_log_modulus(two_eta: int, n_less, offset, log_abs2_alpha, log_z2, z2, j
     the index data as n_<, d = n_> - n_< and the Jacobi factor
     P_{n_<}^{(d, 2 eta - 1)}.  All arguments broadcast.  ``keep`` is False
     for entries with a zero Jacobi factor, or with d > 0 at beta = 0, which
-    keeps the identity block exact and compact elements diagonal; |U_{n n'}|
-    is keep * exp(log modulus).  The Jacobi factor is finite: a recurrence
-    that overflows is refused by jacobi_sequence, or, for lanes, by
-    matrix_element_batch.  The modulus is formed with augmented operators,
-    in place on arrays and rebinding scalars, so a block entry and a scalar
-    entry go through the same ufuncs in the same order.  Every form of the
-    kernel takes its modulus here, and so does the diagonal Monte Carlo
-    integrand, |U|^2, which needs no sign.
+    keeps the identity block exact and compact elements diagonal.  The log
+    modulus is 0 where ``keep`` is False, so no exp of it overflows at a
+    zero entry, and |U_{n n'}| is keep * exp(log modulus).  The Jacobi
+    factor is finite: a recurrence that overflows is refused by
+    jacobi_sequence, or, for lanes, by matrix_element_batch.  The modulus
+    is formed with augmented operators, in place on arrays and rebinding
+    scalars, so a block entry and a scalar entry go through the same ufuncs
+    in the same order.  Every form of the kernel takes its modulus here, and
+    so does the diagonal Monte Carlo integrand, |U|^2, which needs no sign.
     """
     keep = (jac != 0.0) & ((offset == 0) | (z2 != 0.0))
     log_mag = log_poch_ratio(two_eta, n_less + offset, n_less)
@@ -96,6 +97,7 @@ def keep_log_modulus(two_eta: int, n_less, offset, log_abs2_alpha, log_z2, z2, j
     log_mag += offset * (0.5 * log_z2)
     # Adding the boolean "== 0" turns a zero into 1, so every log is finite.
     log_mag += np.log(np.abs(jac + (jac == 0.0)))
+    log_mag *= keep
     return keep, log_mag
 
 
@@ -163,7 +165,7 @@ def matrix_element_cartan(eta, n: int, n_prime: int, c: CartanCoords) -> complex
     magnitude = math.tanh(0.5 * c.tau) ** (big - m) * (2.0 * e / (1.0 + e * e)) ** te * pref * jac
     sign = -1.0 if (n_prime > n and (n_prime - n) % 2 == 1) else 1.0
     angle = -0.5 * ((te + 2 * n) * c.phi + (te + 2 * n_prime) * c.psi)
-    return sign * magnitude * cmath.exp(1j * angle) + 0.0  # + 0.0 turns -0.0 parts into +0.0
+    return sign * magnitude * cmath.exp(1j * angle) + 0j  # + 0j turns -0.0 parts into +0.0
 
 
 def matrix_element_polar(eta, n: int, n_prime: int, abs2_alpha, z2, arg_alpha, arg_beta):

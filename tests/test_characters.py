@@ -357,6 +357,26 @@ def test_closed_form_matches_mpmath_generating_function():
         assert abs(got - expected) <= 1e-12 * abs(expected)
 
 
+def test_closed_form_beyond_double_range_matches_mpmath():
+    # Where a partial product of half ** (1 - 2 eta) overflows, the power is
+    # taken in log space: the value rounds to 0j below double range, and to
+    # its subnormal above it (3.66e-315 at two_eta = 65, tau = 22.3).
+    rng = np.random.default_rng(27)
+    draws = [(5, 400.0, 0.3, 0.2, 1.0), (5, 400.0, 0.3, 0.2, 0.9), (65, 22.3, 0.1, 0.2, 1.0)]
+    draws += [(int(rng.integers(2, 101)), rng.uniform(20.0, 700.0), rng.uniform(0.0, 2 * math.pi),
+               rng.uniform(-6.0, 6.0), (1.0, 0.9)[k % 2]) for k in range(60)]
+    subnormals = zeros = 0
+    for two_eta, tau, phi, psi, r in draws:
+        got = damped_trace_closed_form(RepLabel(two_eta=two_eta), from_cartan(tau, phi, psi), r)
+        expected = mp_generating_function(two_eta, tau, phi, psi, r, dps=400)
+        assert abs(got - expected) <= 1e-12 * abs(expected) + 2e-323
+        if expected == 0.0:
+            zeros += 1
+            assert _hex(got) == _hex(0j)
+        subnormals += 0.0 < abs(expected) < 2.2250738585072014e-308
+    assert zeros >= 40 and subnormals >= 1
+
+
 def test_damped_trace_validation():
     with pytest.raises(InvalidDamping):
         damped_trace_sum("1", IDENTITY, 1.0, 10)
@@ -434,6 +454,28 @@ def test_abel_trace_half_damping_closed_form():
             assert closed == pytest.approx(expected, rel=1e-14)
 
 
+def test_abel_trace_matches_a_finite_geometric_sum():
+    # sum_{n < N} r^n exp(-i (eta + n) theta) = exp(-i eta theta) (1 - q^N) / (1 - q),
+    # q = r exp(-i theta), at 40 digits from the exact binary inputs.
+    rng = np.random.default_rng(27)
+    for k in range(80):
+        two_eta = int(rng.integers(2, 102))
+        theta = rng.uniform(0.05, 6.23)
+        r = rng.uniform(0.01, 0.9) if k % 2 else rng.uniform(0.99, 0.9999)
+        terms = (10, 200, 5000, 20_000)[k % 4]
+        with mp.workdps(40):
+            q = mp.mpf(r) * mp.expj(-mp.mpf(theta))
+            expected = mp.expj(-two_eta * mp.mpf(theta) / 2) * (1 - q ** terms) / (1 - q)
+        got = abel_trace(RepLabel(two_eta=two_eta), theta, r, terms)
+        assert abs(got - complex(expected)) <= 1e-11 * abs(complex(expected))
+    # A NumPy float32 angle is summed at its exact value, as the float it equals.
+    angle = np.float32(0.7)
+    assert _hex(abel_trace("5/2", angle, 0.9, 200)) == _hex(abel_trace("5/2", float(angle), 0.9, 200))
+    # No terms sum to +0j, whatever the sign of the lead's parts.
+    for theta in (1.0, 2.0, 4.0, 5.5):
+        assert _hex(abel_trace("5/2", theta, 0.5, 0)) == _hex(0j)
+
+
 def test_abel_residual_linear_in_damping_gap():
     for eta in ("1", "3/2", "2"):
         for theta in (0.5, 1.0, math.pi, 2 * math.pi - 0.5):
@@ -455,40 +497,12 @@ def test_abel_limit_equals_compact_character():
             assert abs(lhs - rhs) <= 1e-13
 
 
-def test_abel_sums_at_three_dampings_share_one_read_only_array(clear_su11_caches):
-    # elliptic_abel_residual's order: one (label, angle, terms), three
-    # dampings.  The sums equal the same sums made each with every cache
-    # empty, bit for bit.
-    eta, theta, terms, dampings = "3/2", 1.0, 20_000, (0.9, 0.99, 0.999)
-    cleared = []
-    for r in dampings:
-        clear_su11_caches()
-        cleared.append(_hex(abel_trace(eta, theta, r, terms)))
-    clear_su11_caches()
-    assert [_hex(abel_trace(eta, theta, r, terms)) for r in dampings] == cleared
-    cache = characters._compact_diagonal
-    info = cache.cache_info()
-    assert (info.hits, info.misses, info.currsize) == (2, 1, 1)
-    held = cache(as_rep_label(eta), theta, terms)
-    assert cache.cache_info().hits == 3
-    assert held.flags.writeable is False
-    with pytest.raises(ValueError):
-        held[0] = 0.0
-    # Another angle or label replaces the held array.
-    for other_eta, other_theta in ((eta, 2.0), ("2", theta)):
-        misses = cache.cache_info().misses
-        abel_trace(other_eta, other_theta, 0.9, terms)
-        abel_trace(eta, theta, 0.9, terms)
-        assert cache.cache_info().misses == misses + 2
-        assert cache.cache_info().currsize == 1
-
-
-@pytest.mark.parametrize("call", [
-    lambda terms: trace_partial_sum("1", IDENTITY, terms),
-    lambda terms: damped_trace_sum("1", IDENTITY, 0.5, terms),
-    lambda terms: abel_trace("1", 1.0, 0.5, terms),
+@pytest.mark.parametrize("call, diagonals", [
+    (lambda terms: trace_partial_sum("1", IDENTITY, terms), 1),
+    (lambda terms: damped_trace_sum("1", IDENTITY, 0.5, terms), 1),
+    (lambda terms: abel_trace("1", 1.0, 0.5, terms), 0),
 ], ids=["trace_partial_sum", "damped_trace_sum", "abel_trace"])
-def test_term_count_must_be_an_int(call, clear_su11_caches):
+def test_term_count_must_be_an_int(call, diagonals, clear_su11_caches):
     for terms in (10.0, True, np.array(10), np.array([10]), "10", None):
         with pytest.raises(InvalidParams, match="terms must be an int"):
             call(terms)
@@ -497,8 +511,7 @@ def test_term_count_must_be_an_int(call, clear_su11_caches):
     # A NumPy integer is taken, and shares the cache entry of the plain int.
     clear_su11_caches()
     assert _hex(call(np.int64(10))) == _hex(call(10))
-    assert sum(cache.cache_info().misses for cache in
-               (characters._diagonal, characters._compact_diagonal)) == 1
+    assert characters._diagonal.cache_info().misses == diagonals
 
 
 def test_abel_trace_validation():

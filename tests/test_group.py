@@ -174,6 +174,20 @@ def test_large_tau_still_constructible():
     assert math.isfinite(abs(g.alpha))
 
 
+def test_chart_edges_are_refused_by_name_and_have_no_negative_zero():
+    # |alpha|^2 = cosh^2(tau/2) leaves double range past tau ~ 711.17, and
+    # cosh itself past tau ~ 1420; a product of entries that overflows is a
+    # determinant violation, not a bare OverflowError.
+    assert math.isfinite(abs(from_cartan(711.16, 0.3, 0.2).alpha))
+    for tau in (711.18, 712.0, 1500.0):
+        with pytest.raises(InvalidParams, match="at tau = "):
+            from_cartan(tau, 0.0, 0.0)
+    with pytest.raises(DeterminantViolation):
+        GroupElement(1e200, 0.0)
+    g = from_cartan(0.0, -11.02, 1400.0)
+    assert g.beta == 0.0 and not np.signbit([g.beta.real, g.beta.imag]).any()
+
+
 # ----------------------------------------------------------------------
 # Group operations
 # ----------------------------------------------------------------------

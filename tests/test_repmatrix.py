@@ -358,6 +358,16 @@ def test_block_of_identity_and_compact():
     assert not np.signbit(zeros.real).any() and not np.signbit(zeros.imag).any()
 
 
+def test_identity_block_is_exact_where_prefactors_leave_double_range():
+    # From (0, 320) on, the label-5000 prefactor of an off-diagonal entry is
+    # beyond double range; at beta = 0 the entry is still exactly 0.
+    entry = matrix_element("5000", 320, 0, IDENTITY)
+    assert entry == 0.0 and not np.signbit([entry.real, entry.imag]).any()
+    block = truncated_operator("5000", IDENTITY, 400).entries
+    np.testing.assert_array_equal(block, np.eye(400, dtype=complex))
+    assert not np.signbit(block.real).any() and not np.signbit(block.imag).any()
+
+
 def test_block_entries_read_only():
     block = truncated_operator("1", IDENTITY, 4)
     with pytest.raises(ValueError):
