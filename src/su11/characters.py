@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import cmath
 import math
-import struct
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -159,17 +158,14 @@ def character_compact(eta, theta: float) -> complex:
 
 
 @lru_cache(maxsize=1, typed=True)
-def _diagonal(label: RepLabel, terms: int, bits: bytes) -> np.ndarray:
-    """The read-only diagonal U_{nn}(g), n < terms, with g's entries packed in ``bits``.
+def _diagonal(label: RepLabel, terms: int, g: GroupElement) -> np.ndarray:
+    """The read-only diagonal U_{nn}(g), n < terms.
 
-    A label compares by two_eta.  The key holds the bit patterns of alpha and
-    beta, not the element: entries of -0.0 and +0.0 compare equal but give
-    diagonals whose imaginary parts differ in sign.  The sums at several
-    dampings read one diagonal, and one is held at a time.
+    A label compares by two_eta, and equal elements have the same bits.  The
+    sums at several dampings read one diagonal, and one is held at a time.
     """
-    ar, ai, br, bi = struct.unpack("<4d", bits)
     n = np.arange(terms)
-    diagonal = matrix_element_batch(label, n, n, complex(ar, ai), complex(br, bi))
+    diagonal = matrix_element_batch(label, n, n, g.alpha, g.beta)
     diagonal.flags.writeable = False
     return diagonal
 
@@ -183,9 +179,7 @@ def _diagonal_sum(eta, g: GroupElement, r: float, terms: int) -> complex:
     terms = as_count(terms, "terms")
     if terms == 0:
         return 0j
-    a, b = g.alpha, g.beta
-    bits = struct.pack("<4d", a.real, a.imag, b.real, b.imag)
-    diagonal = _diagonal(as_rep_label(eta), terms, bits)
+    diagonal = _diagonal(as_rep_label(eta), terms, g)
     return complex(np.cumsum(r ** np.arange(terms) * diagonal)[-1]) + 0j
 
 

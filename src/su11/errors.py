@@ -1,4 +1,4 @@
-"""Exception types shared across the package, and the rules for counts, indices and reals."""
+"""Exception types shared across the package, and the rules for counts, indices and numbers."""
 import numpy as np
 
 
@@ -57,6 +57,21 @@ def as_real(value, name: str, error=InvalidParams) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float, np.integer, np.floating)):
         raise error(f"{name} must be a real number, got {value!r}")
     return float(value)
+
+
+def as_complex(value, name: str) -> complex:
+    """``value`` as a Python complex with no -0.0 part, else InvalidParams naming ``name``.
+
+    The one rule for every complex argument: an int, a float, a complex or a
+    NumPy number, not a bool or a NumPy timedelta (which NumPy counts as an
+    integer).  Adding +0j turns each -0.0 part into +0.0.
+    """
+    if type(value) is complex:  # the hot path's case, in one test
+        return value + 0j
+    if isinstance(value, (bool, np.timedelta64)) or not isinstance(
+            value, (int, float, complex, np.number)):
+        raise InvalidParams(f"{name} must be a number, got {value!r}")
+    return complex(value) + 0j
 
 
 def as_index_array(value, name: str) -> np.ndarray:

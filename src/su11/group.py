@@ -20,7 +20,7 @@ import cmath
 import math
 from dataclasses import dataclass
 
-from .errors import DeterminantViolation, InvalidParams, UnsupportedClass, as_real
+from .errors import DeterminantViolation, InvalidParams, UnsupportedClass, as_complex, as_real
 
 TWO_PI = 2.0 * math.pi
 FOUR_PI = 4.0 * math.pi
@@ -32,19 +32,14 @@ DET_TOL = 1e-12
 
 @dataclass(frozen=True)
 class GroupElement:
-    """An SU(1,1) element, represented by the matrix entries (alpha, beta)."""
+    """An SU(1,1) element (alpha, beta); no part is -0.0, so equal elements have equal bits."""
 
     alpha: complex
     beta: complex
 
     def __post_init__(self) -> None:
-        try:
-            object.__setattr__(self, "alpha", complex(self.alpha))
-            object.__setattr__(self, "beta", complex(self.beta))
-        except (TypeError, ValueError):
-            raise InvalidParams(
-                f"alpha and beta must be numbers, got {self.alpha!r} and {self.beta!r}"
-            ) from None
+        object.__setattr__(self, "alpha", as_complex(self.alpha, "alpha"))
+        object.__setattr__(self, "beta", as_complex(self.beta, "beta"))
         # x * x, not x**2: a float power raises OverflowError, a product gives inf.
         a2 = self.alpha.real * self.alpha.real + self.alpha.imag * self.alpha.imag
         b2 = self.beta.real * self.beta.real + self.beta.imag * self.beta.imag
@@ -83,7 +78,7 @@ def _wrap_psi(value: float) -> float:
 
 @dataclass(frozen=True)
 class CartanCoords:
-    """Chart coordinates (tau, phi, psi); angles are normalized on construction."""
+    """Chart coordinates (tau, phi, psi); angles are normalized, and none is -0.0."""
 
     tau: float
     phi: float
@@ -99,9 +94,9 @@ class CartanCoords:
         wrapped = _wrap_phi(phi)
         # Shift psi by the same 2*pi turns as phi, so alpha and beta keep their sign.
         turns = round((phi - wrapped) / TWO_PI)
-        object.__setattr__(self, "tau", tau)
-        object.__setattr__(self, "phi", wrapped)
-        object.__setattr__(self, "psi", _wrap_psi(psi - TWO_PI * turns))
+        object.__setattr__(self, "tau", tau + 0.0)  # + 0.0 turns -0.0 into +0.0
+        object.__setattr__(self, "phi", wrapped + 0.0)
+        object.__setattr__(self, "psi", _wrap_psi(psi - TWO_PI * turns) + 0.0)
 
     @property
     def x(self) -> float:
@@ -117,8 +112,8 @@ class DiskPoint:
     z: complex
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "z", complex(self.z))
-        if abs(self.z) >= 1.0:
+        object.__setattr__(self, "z", as_complex(self.z, "z"))
+        if not abs(self.z) < 1.0:
             raise InvalidParams(f"disk point must satisfy |z| < 1, got |z| = {abs(self.z)}")
 
 
@@ -126,7 +121,7 @@ def from_cartan(coords, phi: float | None = None, psi: float | None = None) -> G
     """Element of the chart point; accepts CartanCoords or (tau, phi, psi).
 
     A tau past about 711.17, where |alpha|^2 = cosh^2(tau/2) leaves double
-    range, is refused with InvalidParams.  alpha and beta have no -0.0 part.
+    range, is refused with InvalidParams.
     """
     if not isinstance(coords, CartanCoords):
         if phi is None or psi is None:
@@ -138,7 +133,7 @@ def from_cartan(coords, phi: float | None = None, psi: float | None = None) -> G
     try:
         alpha = math.cosh(half) * cmath.exp(0.5j * (coords.phi + coords.psi))
         beta = math.sinh(half) * cmath.exp(0.5j * (coords.phi - coords.psi))
-        return GroupElement(alpha + 0j, beta + 0j)  # + 0j turns -0.0 parts into +0.0
+        return GroupElement(alpha, beta)
     except (OverflowError, DeterminantViolation):
         raise InvalidParams(f"|alpha|^2 leaves double range at tau = {coords.tau}") from None
 
@@ -196,5 +191,8 @@ def haar_density(coords) -> float:
 
 
 def disk_point(g: GroupElement) -> DiskPoint:
-    """Image z = beta / conj(alpha) of the disk origin; |z| = tanh(tau/2)."""
+    """Image z = beta / conj(alpha) of the disk origin; |z| = tanh(tau/2).
+
+    InvalidParams past tau ~ 37.4, where tanh(tau/2) rounds to 1.
+    """
     return DiskPoint(g.beta / g.alpha.conjugate())

@@ -1,7 +1,6 @@
 """Character closed forms against trace-summation oracles."""
 import cmath
 import math
-import struct
 from fractions import Fraction
 
 import mpmath as mp
@@ -397,24 +396,26 @@ def _diagonal_sums(eta, g, terms, dampings):
     return [_hex(z) for z in sums]
 
 
-def test_signed_zero_elements_keep_their_own_diagonal(clear_su11_caches):
-    # alpha = -2 + 0j and -2 - 0j compare and hash equal, but their phases
-    # are +pi and -pi, so their diagonal terms differ in the sign of the
-    # imaginary part: neither element may be given the other's sums.
+def test_signed_zero_elements_share_one_diagonal(clear_su11_caches):
+    # alpha = -2 + 0j and -2 - 0j would have phases +pi and -pi, but an
+    # element stores no -0.0 part: the two are one element, bit for bit, and
+    # their sums come from one cached diagonal.
     root3 = math.sqrt(3.0)
     plus = GroupElement(complex(-2.0, 0.0), root3)
-    minus = GroupElement(complex(-2.0, -0.0), root3)
+    minus = GroupElement(complex(-2.0, -0.0), complex(root3, -0.0))
     assert plus == minus and hash(plus) == hash(minus)
+    assert _hex(minus.alpha) == _hex(plus.alpha) and _hex(minus.beta) == _hex(plus.beta)
     terms, dampings = 60, (0.9, 0.99)
     for eta in ("1", "3/2"):
-        expected = {id(g): _diagonal_sums(eta, g, terms, dampings) for g in (plus, minus)}
-        assert expected[id(plus)] != expected[id(minus)]
+        expected = _diagonal_sums(eta, plus, terms, dampings)
         for order in ((plus, minus), (minus, plus)):
             clear_su11_caches()
             for g in order:
                 got = [trace_partial_sum(eta, g, terms)]
                 got += [damped_trace_sum(eta, g, r, terms) for r in dampings]
-                assert [_hex(z) for z in got] == expected[id(g)]
+                assert [_hex(z) for z in got] == expected
+            info = characters._diagonal.cache_info()
+            assert (info.hits, info.misses) == (2 * len(dampings) + 1, 1)
 
 
 def test_consecutive_sums_share_one_read_only_diagonal(clear_su11_caches):
@@ -432,8 +433,7 @@ def test_consecutive_sums_share_one_read_only_diagonal(clear_su11_caches):
     assert [_hex(call()) for call in calls] == cleared
     info = characters._diagonal.cache_info()
     assert (info.hits, info.misses, info.currsize) == (2, 2, 1)
-    bits = struct.pack("<4d", g.alpha.real, g.alpha.imag, g.beta.real, g.beta.imag)
-    held = characters._diagonal(as_rep_label(eta), 4000, bits)
+    held = characters._diagonal(as_rep_label(eta), 4000, g)
     assert characters._diagonal.cache_info().hits == 3
     assert held.flags.writeable is False
     with pytest.raises(ValueError):

@@ -237,3 +237,14 @@ def test_verify_refuses_bad_seed_size_and_k_as_usage_error(capsys):
 def test_verify_tol_override_can_fail():
     proc = run_cli("verify", "--suite", "tensor", "--tol", "0")
     assert proc.returncode == 1
+
+
+def test_cold_start_leaves_the_heavy_modules_unloaded():
+    # Every command pays the CLI's import: the pool, the random generators
+    # and the test-only oracles are imported only where they are used.
+    heavy = ("numpy.random", "concurrent.futures", "multiprocessing", "mpmath", "scipy",
+             "hypothesis")
+    code = f"import sys, su11.cli; print([m for m in {heavy!r} if m in sys.modules])"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          timeout=60)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "[]\n", "")

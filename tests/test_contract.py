@@ -1,6 +1,6 @@
 """The contract at the edges of the domain: a Su11Error, or a clean result.
 
-Each call below takes every combination of edge values in its real
+Each call below takes every combination of edge values in its
 arguments, the others held valid.  It must either raise a Su11Error, or
 return a result whose every float part is finite and none is -0.0: no NaN,
 no infinity, no -0j and no builtin exception.  The typical values 0.3 and
@@ -15,6 +15,7 @@ import pytest
 from su11 import (
     CartanCoords,
     CharacterValue,
+    DiskPoint,
     GroupElement,
     InvalidDamping,
     InvalidParams,
@@ -28,14 +29,18 @@ from su11 import (
     character_compact,
     compact_element,
     damped_trace_closed_form,
+    disk_point,
     from_cartan,
     haar_density,
+    inverse,
     matrix_element,
+    multiply,
+    to_cartan,
     truncated_operator,
 )
 
 EDGES = (0.0, -0.0, 5e-324, 1e-300, math.nan, math.inf, -math.inf, 700.0, 1400.0,
-         True, "x", None)
+         True, np.True_, "1", "x", None)
 VALUES = EDGES + (0.3, 2.0)
 
 # A label so large that an off-diagonal prefactor leaves double range within
@@ -52,9 +57,14 @@ CALLS = {
                                      matrix_element(HUGE, 59, 0, compact_element(theta))),
     "truncated_operator": lambda theta: truncated_operator(HUGE, compact_element(theta), 60),
     "from_cartan": lambda tau, phi, psi: from_cartan(tau, phi, psi),
-    # An element keeps the entries it is given, signed zeros too (the cached
-    # diagonals tell them apart), so only the call itself is checked here.
-    "GroupElement": lambda alpha, beta: GroupElement(alpha, beta).det(),
+    "GroupElement": lambda alpha, beta: GroupElement(alpha, beta),
+    "inverse": lambda tau, phi, psi: inverse(from_cartan(tau, phi, psi)),
+    "multiply": lambda tau, phi, psi: multiply(from_cartan(tau, phi, psi),
+                                               inverse(from_cartan(tau, psi, phi))),
+    "to_cartan": lambda tau, phi, psi: to_cartan(from_cartan(tau, phi, psi)),
+    "CartanCoords": lambda tau, phi, psi: CartanCoords(tau, phi, psi),
+    "DiskPoint": lambda z: DiskPoint(z),
+    "disk_point": lambda tau, phi, psi: disk_point(from_cartan(tau, phi, psi)),
     "haar_density": lambda tau: haar_density(tau),
     "compact_element": lambda theta: compact_element(theta),
 }
@@ -68,6 +78,10 @@ def _float_parts(result) -> np.ndarray:
         result = result.value
     elif isinstance(result, GroupElement):
         result = (result.alpha, result.beta)
+    elif isinstance(result, CartanCoords):
+        result = (result.tau, result.phi, result.psi)
+    elif isinstance(result, DiskPoint):
+        result = result.z
     elif isinstance(result, MatrixBlock):
         result = result.entries
     parts = np.asarray(result, dtype=complex).ravel()
@@ -88,6 +102,21 @@ def test_edge_values_give_an_error_or_a_clean_result(name):
     broken = [args for args in itertools.product(VALUES, repeat=call.__code__.co_argcount)
               if _breaks_contract(call, args)]
     assert broken == []
+
+
+@pytest.mark.parametrize("call, name, good", [
+    (lambda x: GroupElement(x, 0.0), "alpha", 1),
+    (lambda x: GroupElement(1.0, x), "beta", 0),
+    (lambda x: DiskPoint(x), "z", 0),
+], ids=["GroupElement:alpha", "GroupElement:beta", "DiskPoint"])
+def test_a_complex_argument_must_be_a_number(call, name, good):
+    # A bool or a string would be taken as a number, None would escape as TypeError.
+    for bad in (True, False, np.True_, np.timedelta64(1, "s"), "1", "x", None):
+        with pytest.raises(InvalidParams, match=f"^{name} must be a number"):
+            call(bad)
+    # Ints, floats, complex numbers and NumPy numbers are numbers.
+    for kind in (int, float, complex, np.int64, np.float32, np.complex64):
+        call(kind(good))
 
 
 @pytest.mark.parametrize("call, error", [

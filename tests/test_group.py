@@ -10,6 +10,7 @@ from su11 import (
     IDENTITY,
     CartanCoords,
     DeterminantViolation,
+    DiskPoint,
     GroupElement,
     InvalidParams,
     RepLabel,
@@ -20,6 +21,7 @@ from su11 import (
     from_cartan,
     haar_density,
     inverse,
+    matrix_element,
     multiply,
     to_cartan,
 )
@@ -75,7 +77,7 @@ def test_rep_label_rejects_non_lattice_values():
         "2", "3/2", "3/2", "5/2", "4"]
     assert [str(as_rep_label(v)) for v in ("1.5e0", "2.")] == ["3/2", "2"]
     # Decimal strings parse exactly: these would round onto the lattice as floats.
-    for bad in (True, 0.4, 2.25, Fraction(1, 3), float("nan"), float("inf"),
+    for bad in (True, 0.4, 2.25, Fraction(1, 3), float("nan"), float("inf"), None, 1j,
                 "x", "1/0", "1/2", 0, "1.50000000000000001", "2.0000000000000001", "1e400"):
         with pytest.raises(InvalidParams):
             as_rep_label(bad)
@@ -133,6 +135,8 @@ def test_from_cartan_identity_and_compact():
     h = from_cartan(CartanCoords(0.0, theta, 0.0))
     assert h.alpha == pytest.approx(cmath.exp(0.5j * theta), abs=1e-15)
     assert h.beta == 0.0
+    with pytest.raises(InvalidParams, match="only accepted together with a scalar tau"):
+        from_cartan(CartanCoords(0.0, theta, 0.0), theta)
 
 
 def test_to_cartan_identity_and_degenerate_canonicalization():
@@ -191,6 +195,20 @@ def test_chart_edges_are_refused_by_name_and_have_no_negative_zero():
 # ----------------------------------------------------------------------
 # Group operations
 # ----------------------------------------------------------------------
+
+def test_equal_elements_have_equal_bits_and_equal_results():
+    # -2 - 0j and -2 + 0j compare equal, but their phases would be -pi and
+    # +pi: an element stores no -0.0 part, so the two are one element, with
+    # one matrix element and one chart point, bit for bit.
+    root3 = math.sqrt(3.0)
+    plus = GroupElement(complex(-2.0, 0.0), complex(-root3, 0.0))
+    minus = GroupElement(complex(-2.0, -0.0), complex(-root3, -0.0))
+    assert [z.imag.hex() for z in (minus.alpha, minus.beta)] == ["0x0.0p+0"] * 2
+    assert matrix_element("3/2", 1, 1, minus).imag.hex() == matrix_element(
+        "3/2", 1, 1, plus).imag.hex()
+    c = to_cartan(minus)
+    assert c == to_cartan(plus) and math.copysign(1.0, c.phi) == 1.0
+
 
 def test_multiply_identity_and_inverse():
     rng = np.random.default_rng(2)
@@ -269,6 +287,12 @@ def test_disk_point_identity_and_boost():
     z = disk_point(from_cartan(tau, 0.0, 0.0)).z
     assert z.real == pytest.approx(math.tanh(tau / 2), rel=1e-14)
     assert z.imag == pytest.approx(0.0, abs=1e-15)
+    # tanh(tau/2) rounds to 1 past tau ~ 37.4.
+    assert abs(disk_point(from_cartan(37.0, 0.3, 0.2)).z) < 1.0
+    for make in (lambda: DiskPoint(1.0), lambda: DiskPoint(-1j),
+                 lambda: disk_point(from_cartan(40.0, 0.0, 0.0))):
+        with pytest.raises(InvalidParams, match=r"\|z\| < 1"):
+            make()
 
 
 def test_x_coordinate_consistency():

@@ -444,6 +444,8 @@ def test_block_size_validation():
             truncated_operator("1", IDENTITY, size)
     with pytest.raises(InvalidParams):
         unitarity_defect(truncated_operator("1", IDENTITY, 4), 5)
+    with pytest.raises(InvalidParams, match=r"k must lie in \[1, size\]"):
+        homomorphism_defect("1", IDENTITY, IDENTITY, 4, 5)
 
 
 def test_unitarity_defect_from_leading_columns():
